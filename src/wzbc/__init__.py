@@ -8,6 +8,7 @@ tool wraps the library for curve generation and validation runs.
 
 from .core import (
     BinaryProblem,
+    BoundsViolation,
     DistortionPoint,
     GaussianProblem,
     InvalidProblem,

@@ -12,6 +12,22 @@ Tradeoff regions are traced by exhaustive grid sweeps; for fixed values of
 the remaining parameters the best grid value of the last q axis is selected
 directly (the distortion is monotone in q and the rate constraint is linear
 in q, so this is exactly the grid minimum).
+
+The layered region is one table-driven pass per role assignment:
+
+1. table -- the clamped channel rate triple (R_cc, R_cr, R_rr) of every
+   channel tuple (t, gamma_c, gamma_r) on the gamma grid, from one array call
+   of each kernel per auxiliary choice (``binary_lds_channel_rates`` is a
+   one-cell call of the same kernel);
+2. prune -- flagged tuples (a materially negative rate) and tuples whose
+   triple is componentwise weakly dominated by another tuple's triple are
+   dropped; this is exact because feasibility and the best D_r are monotone
+   in all three rates;
+3. chunked search -- the refinement search runs over a tuple axis, a bounded
+   number of (tuple, q_c, alpha_c, alpha_r) cells at a time; every candidate
+   point is bounds-checked and each chunk is reduced to its envelope vertices;
+4. envelope -- the lower convex envelope of the kept vertices of both role
+   assignments (plus the zero-rate corners) is the region.
 """
 
 from __future__ import annotations
@@ -27,8 +43,10 @@ from .core import (
     RateTriple,
     RoleAssignment,
     TradeoffCurve,
+    RATE_CLAMP_EPS,
     parse_kappa,
     require_two_receivers,
+    require_within_bounds,
     validate_problem,
 )
 from .infotheory import binary_convolution, binary_entropy, wz_rate_kernel
@@ -37,6 +55,9 @@ from .optimize import lower_envelope_indices
 FEAS_TOL = 1e-12
 # index slack when flooring a continuous q bound onto the grid, in grid units
 _IDX_EPS = 1e-9
+# (tuple, q_c, alpha_c, alpha_r) cells per refinement-search chunk: bounds the
+# sweep's working arrays to a few hundred kilobytes
+_CHUNK_CELLS = 2**14
 
 
 class TChoice(enum.Enum):
@@ -142,7 +163,7 @@ def binary_uncoded(problem: BinaryProblem) -> DistortionPoint:
                          f"kappa = {problem.kappa}")
     D = tuple(min(p, b) for p, b in zip(problem.crossovers, problem.sideinfo_crossovers))
     point = DistortionPoint(D=D, scheme="uncoded", params={})
-    assert point.within_bounds(problem)
+    require_within_bounds(problem, point.D)
     return point
 
 
@@ -200,6 +221,34 @@ def binary_lds_source_rates(
     return RateTriple(r_cc, r_cr, r_rr).clamp()
 
 
+def _channel_rate_table(p_c, p_r, kappa, gamma_c, gamma_r, t_choice):
+    """Clamped channel rates of the layered code for arrays of (gamma_c, gamma_r).
+
+    One array call of each kernel evaluates the formulas of
+    ``binary_lds_channel_rates`` over every cell; the clamp mirrors
+    ``RateTriple.clamp``.  Returns (rates, clamped): rates has one row
+    (R_cc, R_cr, R_rr) per cell and clamped marks the materially negative rows.
+    """
+    k = float(parse_kappa(kappa))
+    gamma_c = np.asarray(gamma_c, dtype=float)
+    gamma_r = np.asarray(gamma_r, dtype=float)
+    if t_choice is TChoice.T_EQUALS_UC:
+        r_cc = k * (1.0 - binary_entropy(binary_convolution(gamma_r, p_c)))
+        r_cr = k * (1.0 - binary_entropy(binary_convolution(gamma_r, p_r)))
+        r_rr = k * wz_rate_kernel(p_r, gamma_r)
+    else:
+        g = np.minimum(binary_convolution(gamma_c, gamma_r), 0.5)
+        shared = wz_rate_kernel(gamma_c, gamma_r)
+        r_cc = k * (wz_rate_kernel(p_c, g) - shared)
+        r_cr = k * (wz_rate_kernel(p_r, g) - shared)
+        r_rr = k * shared
+    rates = np.stack(np.broadcast_arrays(r_cc, r_cr, r_rr), axis=-1)
+    low = rates.min(axis=-1)
+    negative = low < 0.0
+    rates[negative] = np.where(rates[negative] > 0.0, rates[negative], 0.0)
+    return rates, low < -RATE_CLAMP_EPS
+
+
 def binary_lds_channel_rates(
     p_c: float, p_r: float, ch: BinaryChannelParams, kappa=1
 ) -> RateTriple:
@@ -211,128 +260,161 @@ def binary_lds_channel_rates(
     With T = U_c xor U_r the rates are
     kappa * (r(p_k, gamma_c * gamma_r) - r(gamma_c, gamma_r)) for the common
     layer and kappa * r(gamma_c, gamma_r) for the refinement layer; negative
-    values are clamped to 0 with the flag set.
+    values are clamped to 0 with the flag set.  This is a one-cell call of the
+    table kernel the layered sweep uses.
     """
-    k = float(parse_kappa(kappa))
-    if ch.t_choice is TChoice.T_EQUALS_UC:
-        r_cc = k * (1.0 - binary_entropy(binary_convolution(ch.gamma_r, p_c)))
-        r_cr = k * (1.0 - binary_entropy(binary_convolution(ch.gamma_r, p_r)))
-        r_rr = k * wz_rate_kernel(p_r, ch.gamma_r)
-    else:
-        g = binary_convolution(ch.gamma_c, ch.gamma_r)
-        shared = wz_rate_kernel(ch.gamma_c, ch.gamma_r)
-        r_cc = k * (wz_rate_kernel(p_c, min(g, 0.5)) - shared)
-        r_cr = k * (wz_rate_kernel(p_r, min(g, 0.5)) - shared)
-        r_rr = k * shared
-    return RateTriple(r_cc, r_cr, r_rr).clamp()
+    rates, clamped = _channel_rate_table(
+        p_c, p_r, kappa, [ch.gamma_c], [ch.gamma_r], ch.t_choice
+    )
+    return RateTriple(*rates[0].tolist(), clamped=bool(clamped[0]))
 
 
-def _lds_channel_tuples(p_c, p_r, kappa, resolution):
-    """Yield (t_choice, gamma_c, gamma_r, clamped RateTriple) over the gamma grids."""
+def _lds_channel_table(p_c, p_r, kappa, resolution):
+    """Every channel tuple on the gamma grid with its clamped rate triple.
+
+    Rows are the T = U_c tuples (gamma_c = 1/2) over gamma_r, then the
+    T = U_c xor U_r tuples over (gamma_c, gamma_r), gamma_r fastest.  Returns
+    (xor, gamma_c, gamma_r, rates, clamped) with one entry (row) per tuple.
+    """
     _, gammas = _grids(resolution)
-    for g_r in gammas:
-        ch = BinaryChannelParams(0.5, float(g_r), TChoice.T_EQUALS_UC)
-        yield ch, binary_lds_channel_rates(p_c, p_r, ch, kappa)
-    for g_c in gammas:
-        for g_r in gammas:
-            ch = BinaryChannelParams(float(g_c), float(g_r), TChoice.T_EQUALS_UC_XOR_UR)
-            yield ch, binary_lds_channel_rates(p_c, p_r, ch, kappa)
+    n = gammas.size
+    uc = (np.full(n, 0.5), gammas)
+    xor = (np.repeat(gammas, n), np.tile(gammas, n))
+    rates_uc, clamped_uc = _channel_rate_table(p_c, p_r, kappa, *uc, TChoice.T_EQUALS_UC)
+    rates_x, clamped_x = _channel_rate_table(p_c, p_r, kappa, *xor, TChoice.T_EQUALS_UC_XOR_UR)
+    return (
+        np.repeat([False, True], [n, n * n]),
+        np.concatenate((uc[0], xor[0])),
+        np.concatenate((uc[1], xor[1])),
+        np.concatenate((rates_uc, rates_x)),
+        np.concatenate((clamped_uc, clamped_x)),
+    )
 
 
-def _best_refinement_points(rates, qs, alphas, r_c, r_r, dc_tab, dr_tab):
-    """Per common-layer cell, the best refinement cell for one channel tuple.
+def _undominated(rates):
+    """Sorted row indices of rates not componentwise weakly dominated by
+    another row; of equal rows only the first is kept.
 
-    rates is the clamped channel triple.  Returns index arrays
-    (qc, ac, qr, ar) of the kept cells plus their (d_c, d_r); the refinement
-    q is the largest grid value satisfying the rate budget, which attains the
-    grid minimum of D_r for each alpha_r.
+    Rows are visited in decreasing lexicographic order, so every row that
+    dominates another is visited before it and checking against the rows kept
+    so far suffices.
     """
+    order = np.lexsort((-rates[:, 2], -rates[:, 1], -rates[:, 0]))
+    front = np.empty_like(rates)
+    kept = []
+    for i in order:
+        if kept and np.all(front[: len(kept)] >= rates[i], axis=1).any():
+            continue
+        front[len(kept)] = rates[i]
+        kept.append(i)
+    return np.sort(np.asarray(kept, dtype=np.int64))
+
+
+def _lds_refinement_search(problem, assign, resolution, rates):
+    """Envelope vertices of the refinement search over channel triples.
+
+    rates holds one unflagged channel triple per row.  For every
+    (tuple, q_c, alpha_c) whose common layer fits R_cc and R_cr, each alpha_r
+    takes the largest grid q_r within the refinement budget (which attains the
+    grid minimum of D_r for that alpha_r) and the best alpha_r is kept.  The
+    tuples are processed in chunks of at most _CHUNK_CELLS
+    (tuple, q_c, alpha_c, alpha_r) cells (one tuple when a single tuple is
+    larger); every candidate is bounds-checked and each chunk is reduced to
+    its envelope vertices.  Returns (D, idx): D is a (2, m) array of
+    receiver-order distortions and idx an (m, 5) array of grid indices
+    (tuple row, q_c, alpha_c, q_r, alpha_r).
+    """
+    qs, alphas = _grids(resolution)
     res = qs.size
-    cl_ok = (np.outer(qs, r_c) <= rates.R_cc + FEAS_TOL) & (
-        np.outer(qs, r_r) <= rates.R_cr + FEAS_TOL
-    )
-    if not cl_ok.any():
-        return None
-    budget = rates.R_rr + np.outer(qs, r_r)  # (qc, ac)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        qmax = budget[:, :, None] / r_r[None, None, :]
-    qmax = np.where(r_r[None, None, :] <= 0.0, np.inf, qmax)
-    qmax = np.minimum(qmax, 1.0)
-    qr_idx = (qmax * (res - 1) + _IDX_EPS).astype(np.int64)
-    qc_idx = np.arange(res)[:, None, None]
-    valid = (
-        (qr_idx >= qc_idx)
-        & (alphas[None, None, :] <= alphas[None, :, None] + FEAS_TOL)
-        & cl_ok[:, :, None]
-    )
-    dr_cand = np.where(valid, dr_tab[qr_idx, np.arange(res)[None, None, :]], np.inf)
-    ar_best = np.argmin(dr_cand, axis=2)
-    dr_min = np.take_along_axis(dr_cand, ar_best[:, :, None], axis=2)[:, :, 0]
-    ok = np.isfinite(dr_min)
-    if not ok.any():
-        return None
-    qc, ac = np.nonzero(ok)
-    ar = ar_best[qc, ac]
-    qr = qr_idx[qc, ac, ar]
-    return qc, ac, qr, ar, dc_tab[qc, ac], dr_min[qc, ac]
+    beta_c = problem.sideinfo_crossovers[assign.c]
+    beta_r = problem.sideinfo_crossovers[assign.r]
+    r_r = wz_rate_kernel(alphas, beta_r)
+    src_c = np.outer(qs, wz_rate_kernel(alphas, beta_c))  # (q_c, alpha_c)
+    src_r = np.outer(qs, r_r)
+    dc_tab = layer_distortion(qs[:, None], alphas[None, :], beta_c)
+    dr_tab = layer_distortion(qs[:, None], alphas[None, :], beta_r)
+    ar_axis = np.arange(res)
+    step = max(1, _CHUNK_CELLS // res**3)
+    kept_d, kept_idx = [], []
+    for start in range(0, len(rates), step):
+        chunk = rates[start : start + step]
+        cl_ok = (src_c <= chunk[:, 0, None, None] + FEAS_TOL) & (
+            src_r <= chunk[:, 1, None, None] + FEAS_TOL
+        )
+        t, qc, ac = np.nonzero(cl_ok)
+        if t.size == 0:
+            continue
+        budget = chunk[t, 2] + src_r[qc, ac]
+        # largest grid q_r within budget, per (row, alpha_r); in-place steps
+        # keep the chunk's working set small
+        with np.errstate(divide="ignore", invalid="ignore"):
+            qmax = budget[:, None] / r_r[None, :]
+        qmax[:, r_r <= 0.0] = 1.0
+        np.minimum(qmax, 1.0, out=qmax)
+        qmax *= res - 1
+        qmax += _IDX_EPS
+        qr_all = qmax.astype(np.int64)
+        del qmax
+        dr_cand = dr_tab[qr_all, ar_axis]
+        dr_cand[(qr_all < qc[:, None]) | (alphas > alphas[ac][:, None] + FEAS_TOL)] = np.inf
+        ar = np.argmin(dr_cand, axis=1)
+        rows = np.nonzero(np.isfinite(dr_cand[np.arange(t.size), ar]))[0]
+        if rows.size == 0:
+            continue
+        t, qc, ac, ar = t[rows], qc[rows], ac[rows], ar[rows]
+        qr = qr_all[rows, ar]
+        d = np.empty((2, rows.size))
+        d[assign.c] = dc_tab[qc, ac]
+        d[assign.r] = dr_tab[qr, ar]
+        require_within_bounds(problem, d)
+        keep = lower_envelope_indices(d[0], d[1])
+        kept_d.append(d[:, keep])
+        kept_idx.append(np.stack((t + start, qc, ac, qr, ar), axis=1)[keep])
+    if not kept_d:
+        return np.empty((2, 0)), np.empty((0, 5), dtype=np.int64)
+    return np.concatenate(kept_d, axis=1), np.concatenate(kept_idx)
 
 
 def _binary_lds_vertices(problem, assign, resolution):
-    """Envelope vertices (receiver coordinates) contributed by one role assignment."""
+    """Envelope vertices (receiver coordinates) contributed by one role assignment.
+
+    The zero-rate corner comes first, then the vertices of the refinement
+    search over the unflagged, undominated channel tuples.
+    """
     qs, alphas = _grids(resolution)
-    beta_c = problem.sideinfo_crossovers[assign.c]
-    beta_r = problem.sideinfo_crossovers[assign.r]
-    p_c = problem.crossovers[assign.c]
-    p_r = problem.crossovers[assign.r]
-    r_c = wz_rate_kernel(alphas, beta_c)
-    r_r = wz_rate_kernel(alphas, beta_r)
-    dc_tab = layer_distortion(qs[:, None], alphas[None, :], beta_c)
-    dr_tab = layer_distortion(qs[:, None], alphas[None, :], beta_r)
+    roles = (assign.common_receiver, assign.refinement_receiver)
     corner = [None, None]
-    corner[assign.c] = beta_c
-    corner[assign.r] = beta_r
+    corner[assign.c] = problem.sideinfo_crossovers[assign.c]
+    corner[assign.r] = problem.sideinfo_crossovers[assign.r]
     vertices = [
         # zero-rate corner: the all-q=0 tuple is feasible for every channel tuple
         DistortionPoint(
             D=tuple(corner),
             scheme="lds",
-            params={
-                "assign": (assign.common_receiver, assign.refinement_receiver),
-                "q_c": 0.0,
-                "alpha_c": 0.0,
-                "q_r": 0.0,
-                "alpha_r": 0.0,
-            },
+            params={"assign": roles, "q_c": 0.0, "alpha_c": 0.0, "q_r": 0.0, "alpha_r": 0.0},
         )
     ]
-    for ch, rates in _lds_channel_tuples(p_c, p_r, problem.kappa, resolution):
-        if rates.clamped:
-            # a materially negative common-layer bound admits no nonnegative
-            # source rate, so the whole channel tuple is infeasible
-            continue
-        got = _best_refinement_points(rates, qs, alphas, r_c, r_r, dc_tab, dr_tab)
-        if got is None:
-            continue
-        qc, ac, qr, ar, d_c, d_r = got
-        d = [None, None]
-        d[assign.c] = d_c
-        d[assign.r] = d_r
-        keep = lower_envelope_indices(d[0], d[1])
-        for i in keep:
-            params = {
-                "assign": (assign.common_receiver, assign.refinement_receiver),
-                "t": ch.t_choice.value,
-                "gamma_c": ch.gamma_c,
-                "gamma_r": ch.gamma_r,
-                "q_c": float(qs[qc[i]]),
-                "alpha_c": float(alphas[ac[i]]),
-                "q_r": float(qs[qr[i]]),
-                "alpha_r": float(alphas[ar[i]]),
-                "rate_clamped": rates.clamped,
-            }
-            point = DistortionPoint(D=(d[0][i], d[1][i]), scheme="lds", params=params)
-            assert point.within_bounds(problem)
-            vertices.append(point)
+    xor, gamma_c, gamma_r, rates, clamped = _lds_channel_table(
+        problem.crossovers[assign.c], problem.crossovers[assign.r], problem.kappa, resolution
+    )
+    # a materially negative common-layer bound admits no nonnegative source
+    # rate, so a flagged tuple is infeasible; a dominated tuple adds nothing
+    tuples = np.nonzero(~clamped)[0]
+    tuples = tuples[_undominated(rates[tuples])]
+    D, idx = _lds_refinement_search(problem, assign, resolution, rates[tuples])
+    for (x, y), (row, qc, ac, qr, ar) in zip(D.T.tolist(), idx.tolist()):
+        tup = tuples[row]
+        params = {
+            "assign": roles,
+            "t": (TChoice.T_EQUALS_UC_XOR_UR if xor[tup] else TChoice.T_EQUALS_UC).value,
+            "gamma_c": float(gamma_c[tup]),
+            "gamma_r": float(gamma_r[tup]),
+            "q_c": float(qs[qc]),
+            "alpha_c": float(alphas[ac]),
+            "q_r": float(qs[qr]),
+            "alpha_r": float(alphas[ar]),
+        }
+        vertices.append(DistortionPoint(D=(x, y), scheme="lds", params=params))
     return vertices
 
 
@@ -348,8 +430,6 @@ def binary_lds_region(problem: BinaryProblem, resolution: int = 41) -> TradeoffC
     vertices = []
     for assign in (RoleAssignment(1, 2), RoleAssignment(2, 1)):
         vertices.extend(_binary_lds_vertices(problem, assign, resolution))
-    if not vertices:
-        raise ValueError("layered sweep produced no feasible points")
     x = np.array([v.D[0] for v in vertices])
     y = np.array([v.D[1] for v in vertices])
     keep = lower_envelope_indices(x, y)
@@ -472,6 +552,7 @@ def binary_separate_region(problem: BinaryProblem, resolution: int = 41) -> Trad
         # receiver coordinates: D1 on the x axis
         xb = np.asarray(pts_x) if b == 0 else np.asarray(pts_y)
         yb = np.asarray(pts_y) if b == 0 else np.asarray(pts_x)
+        require_within_bounds(problem, (xb, yb))
         keep = lower_envelope_indices(xb, yb)
         for i in keep:
             theta_i, qb_v, ab_v, qg_v, ag_v = pts_params[i]
@@ -486,7 +567,6 @@ def binary_separate_region(problem: BinaryProblem, resolution: int = 41) -> Trad
                     "alpha_g": float(ag_v),
                 },
             )
-            assert point.within_bounds(problem)
             vertices.append(point)
     if not vertices:
         raise ValueError("separate-coding sweep produced no feasible points")

@@ -5,7 +5,8 @@ Subcommands:
   validate  -- run a named property suite, nonzero exit on failure
   point     -- evaluate a single scheme at explicit parameters, print JSON
 
-Exit codes: 0 success, 1 validation failure, 2 usage error.
+Exit codes: 0 success, 1 validation failure, 2 usage error (including a
+WZBC_THREADS value that is not a positive integer).
 CSV files carry "# key=value" comment headers and "D1,D2" data rows; output is
 byte-identical across runs for identical manifests and seeds.  The environment
 variable WZBC_THREADS caps worker threads for Monte Carlo batches.
@@ -53,10 +54,14 @@ class UsageError(Exception):
 
 
 def _threads() -> int:
+    raw = os.environ.get("WZBC_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("WZBC_THREADS", "1")))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise UsageError(f"WZBC_THREADS must be a positive integer, got {raw!r}")
+    return threads
 
 
 def _fmt(x: float) -> str:

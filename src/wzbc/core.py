@@ -15,6 +15,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
 
+import numpy as np
+
+
+RATE_CLAMP_EPS = 1e-12  # rates below -RATE_CLAMP_EPS are materially negative
+
 
 class InvalidProblem(ValueError):
     """A problem definition violates one of its invariants."""
@@ -22,6 +27,10 @@ class InvalidProblem(ValueError):
 
 class UnsupportedReceiverCount(ValueError):
     """A layered-scheme operation was called on a problem without exactly two receivers."""
+
+
+class BoundsViolation(AssertionError):
+    """A scheme produced a distortion outside [0, N_k] (Gaussian) or [0, beta_k] (binary)."""
 
 
 def parse_kappa(value) -> Fraction:
@@ -201,7 +210,7 @@ class RateTriple:
     R_rr: float
     clamped: bool = False
 
-    def clamp(self, eps: float = 1e-12) -> "RateTriple":
+    def clamp(self, eps: float = RATE_CLAMP_EPS) -> "RateTriple":
         """Clamp negative components to 0.
 
         Values below -eps are materially negative and set the clamped flag;
@@ -233,11 +242,32 @@ class DistortionPoint:
 
     def within_bounds(self, problem: Problem, slack: float = 1e-12) -> bool:
         """D_k >= 0 and D_k <= N_k (Gaussian) or beta_k (binary), up to slack."""
-        if isinstance(problem, GaussianProblem):
-            upper = problem.sideinfo_vars
-        else:
-            upper = problem.sideinfo_crossovers
-        return all(-slack <= d <= u + slack for d, u in zip(self.D, upper))
+        return all(_inside(d, u, slack) for d, u in zip(self.D, _distortion_caps(problem)))
+
+
+def _distortion_caps(problem: Problem) -> tuple:
+    """Zero-rate distortion of each receiver: N_k (Gaussian) or beta_k (binary)."""
+    if isinstance(problem, GaussianProblem):
+        return problem.sideinfo_vars
+    return problem.sideinfo_crossovers
+
+
+def _inside(d, upper, slack):
+    """-slack <= d <= upper + slack, elementwise for arrays (NaN is outside)."""
+    return (d >= -slack) & (d <= upper + slack)
+
+
+def require_within_bounds(problem: Problem, D, slack: float = 1e-12) -> None:
+    """Raise BoundsViolation unless every D_k lies in [0, N_k] or [0, beta_k] up to slack.
+
+    D holds one entry per receiver, a scalar or an array whose every cell is
+    checked.  Unlike an assert, the check also runs under ``python -O``.
+    """
+    for k, (d, u) in enumerate(zip(D, _distortion_caps(problem))):
+        inside = _inside(d, u, slack)
+        if not np.all(inside):
+            bad = float(np.asarray(d, dtype=float)[~np.asarray(inside)].flat[0])
+            raise BoundsViolation(f"D{k + 1} = {bad!r} lies outside [0, {u!r}] (slack {slack:g})")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .core import (
     RateTriple,
     RoleAssignment,
     require_two_receivers,
+    require_within_bounds,
     validate_problem,
 )
 
@@ -69,7 +70,7 @@ def gaussian_uncoded(problem: GaussianProblem) -> DistortionPoint:
         n * w / (w + n * P) for w, n in zip(problem.noise_vars, problem.sideinfo_vars)
     )
     point = DistortionPoint(D=D, scheme="uncoded", params={})
-    assert point.within_bounds(problem)
+    require_within_bounds(problem, point.D)
     return point
 
 
@@ -87,7 +88,7 @@ def gaussian_cds(problem: GaussianProblem) -> DistortionPoint:
                for w, n in zip(problem.noise_vars, problem.sideinfo_vars))
     D = tuple(1.0 / (1.0 / n + best) for n in problem.sideinfo_vars)
     point = DistortionPoint(D=D, scheme="cds", params={})
-    assert point.within_bounds(problem)
+    require_within_bounds(problem, point.D)
     return point
 
 
@@ -197,7 +198,7 @@ def gaussian_lds_distortions(
             "rate_clamped": rates.clamped,
         },
     )
-    assert point.within_bounds(problem)
+    require_within_bounds(problem, point.D)
     return point
 
 

@@ -85,6 +85,13 @@ def lower_envelope_indices(x, y):
     decreasing in y with strictly increasing slopes (collinear interior points
     are dropped, and of points sharing an x only the one with minimal y is
     kept).
+
+    A staircase prefilter runs first: after a lexicographic (x, y) sort only
+    the points strictly below every point to their left survive (the
+    Pareto-minimal points, as in Kung, Luccio and Preparata's maxima
+    algorithm).  Andrew's monotone chain then runs on that staircase, which is
+    strictly increasing in x and strictly decreasing in y, so its last point
+    is the first vertex of minimal y.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -93,21 +100,22 @@ def lower_envelope_indices(x, y):
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("envelope requires finite coordinates")
     order = np.lexsort((y, x))
-    hull = []  # indices into the original arrays
-
-    def cross(i, j, k):
-        return (x[j] - x[i]) * (y[k] - y[i]) - (y[j] - y[i]) * (x[k] - x[i])
-
-    for idx in order:
-        if hull and x[hull[-1]] == x[idx]:
-            continue  # same x: the lexsort already placed the minimal y first
-        while len(hull) >= 2 and cross(hull[-2], hull[-1], idx) <= 0:
+    ys = y[order]
+    stair = np.empty(ys.size, dtype=bool)
+    stair[0] = True
+    stair[1:] = ys[1:] < np.minimum.accumulate(ys)[:-1]
+    order = order[stair]
+    px = x[order].tolist()
+    py = y[order].tolist()
+    hull = []  # positions into order
+    for k in range(len(order)):
+        while len(hull) >= 2:
+            i, j = hull[-2], hull[-1]
+            if (px[j] - px[i]) * (py[k] - py[i]) - (py[j] - py[i]) * (px[k] - px[i]) > 0:
+                break
             hull.pop()
-        hull.append(idx)
-    # keep the strictly decreasing part: cut at the first vertex of minimal y
-    ys = y[hull]
-    cut = int(np.argmin(ys))
-    return hull[: cut + 1]
+        hull.append(k)
+    return order[hull].tolist()
 
 
 def lower_convex_envelope(points) -> TradeoffCurve:

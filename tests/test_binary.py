@@ -19,9 +19,12 @@ from wzbc.binary import (
     binary_wz_distortion,
     layer_distortion,
     _binary_lds_vertices,
+    _lds_channel_table,
+    _lds_refinement_search,
+    _undominated,
 )
 from wzbc.infotheory import binary_convolution, binary_entropy, wz_rate_kernel
-from wzbc.optimize import envelope_value
+from wzbc.optimize import envelope_value, lower_envelope_indices
 
 PROBLEM = BinaryProblem(crossovers=(0.05, 0.1), sideinfo_crossovers=(0.2, 0.1), kappa=1)
 
@@ -156,6 +159,49 @@ def test_lds_channel_rates_xor_degenerate_cases():
     assert rates2.R_cc == 0.0 and rates2.R_cr == 0.0
     assert rates2.clamped
     assert rates2.R_rr == pytest.approx(wz_rate_kernel(0.03, 0.5), abs=1e-12)
+
+
+@pytest.mark.parametrize("resolution", [15, 41])
+@pytest.mark.parametrize("kappa", [1, "1/2"])
+def test_channel_table_rows_equal_scalar_rates_bitwise(resolution, kappa):
+    for p_c, p_r in ((0.05, 0.1), (0.1, 0.05)):
+        xor, gamma_c, gamma_r, rates, clamped = _lds_channel_table(p_c, p_r, kappa, resolution)
+        assert len(xor) == resolution + resolution**2
+        assert clamped.any() and not clamped.all()
+        for t, g_c, g_r, row, flag in zip(xor, gamma_c, gamma_r, rates, clamped):
+            t_choice = TChoice.T_EQUALS_UC_XOR_UR if t else TChoice.T_EQUALS_UC
+            want = binary_lds_channel_rates(
+                p_c, p_r, BinaryChannelParams(float(g_c), float(g_r), t_choice), kappa
+            )
+            assert [float(v).hex() for v in row] == [v.hex() for v in want.as_tuple()]
+            assert bool(flag) == want.clamped
+
+
+@pytest.mark.parametrize("kappa", [1, "1/2"])
+@pytest.mark.parametrize("assign", [RoleAssignment(1, 2), RoleAssignment(2, 1)])
+def test_dominated_tuple_pruning_keeps_the_envelope(kappa, assign):
+    problem = BinaryProblem((0.05, 0.1), (0.2, 0.1), kappa=kappa)
+    res = 15
+    _, _, _, rates, clamped = _lds_channel_table(
+        problem.crossovers[assign.c], problem.crossovers[assign.r], kappa, res
+    )
+    unflagged = rates[~clamped]
+    kept = _undominated(unflagged)
+    # brute force: a row goes when another row is >= everywhere and differs
+    # somewhere, or equals it and comes first
+    ge = np.all(unflagged[None, :, :] >= unflagged[:, None, :], axis=2)
+    gt = np.any(unflagged[None, :, :] > unflagged[:, None, :], axis=2)
+    earlier = np.tri(len(unflagged), k=-1, dtype=bool)
+    dominated = (ge & (gt | earlier)).any(axis=1)
+    assert kept.tolist() == np.nonzero(~dominated)[0].tolist()
+    assert 0 < len(kept) < len(unflagged)
+
+    def envelope(tuple_rates):
+        D, _ = _lds_refinement_search(problem, assign, res, tuple_rates)
+        keep = lower_envelope_indices(D[0], D[1])
+        return [(D[0][i], D[1][i]) for i in keep]
+
+    assert envelope(unflagged) == envelope(unflagged[kept])
 
 
 def test_lds_pinned_subgrid_equals_cds_points():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -187,3 +190,27 @@ def test_compare_rejects_three_receivers(tmp_path, capsys):
     assert main(["compare", "--problem", str(path), "--schemes", "cds",
                  "--out", str(tmp_path / "o")]) == 2
     assert "exactly 2 receivers" in capsys.readouterr().err
+
+
+def test_compare_binary_under_python_O(tmp_path, binary_file):
+    # the output bounds are checked by explicit raises, which -O keeps
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    args = ["compare", "--problem", binary_file, "--schemes", "cds,lds,separate",
+            "--resolution", "11"]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "wzbc.cli", *args, "--out", str(tmp_path / "opt")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main([*args, "--out", str(tmp_path / "plain")]) == 0
+    for name in ("converse.csv", "cds.csv", "lds.csv", "separate.csv"):
+        assert (tmp_path / "opt" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+def test_malformed_thread_count_is_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("WZBC_THREADS", value)
+    assert main(["validate", "--suite", "mc-uncoded"]) == 2
+    assert "WZBC_THREADS" in capsys.readouterr().err

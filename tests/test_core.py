@@ -1,10 +1,12 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wzbc.core import (
     BinaryProblem,
+    BoundsViolation,
     DistortionPoint,
     GaussianProblem,
     InvalidProblem,
@@ -16,6 +18,7 @@ from wzbc.core import (
     parse_kappa,
     problem_from_dict,
     require_two_receivers,
+    require_within_bounds,
     validate_problem,
 )
 
@@ -106,6 +109,15 @@ def test_distortion_point_bounds():
     assert DistortionPoint(D=(0.4, 0.3), scheme="x").within_bounds(p)
     assert not DistortionPoint(D=(0.9, 0.3), scheme="x").within_bounds(p)
     assert not DistortionPoint(D=(-0.1, 0.3), scheme="x").within_bounds(p)
+
+
+def test_require_within_bounds_raises_named_error():
+    p = BinaryProblem(crossovers=(0.05, 0.1), sideinfo_crossovers=(0.2, 0.1))
+    require_within_bounds(p, (0.2, 0.0))
+    require_within_bounds(p, (np.array([0.0, 0.2]), np.array([0.1, -1e-13])))
+    for D in [(0.3, 0.05), (0.1, float("nan")), (np.array([0.1, 0.1]), np.array([0.0, -0.01]))]:
+        with pytest.raises(BoundsViolation, match="outside"):
+            require_within_bounds(p, D)
 
 
 def test_tradeoff_curve_interpolation():

@@ -18,6 +18,7 @@ from wzbc.optimize import (
     GridAxis,
     GridSpec,
     lower_convex_envelope,
+    lower_envelope_indices,
     pareto_merge,
     sweep,
 )
@@ -108,6 +109,53 @@ def test_envelope_properties(points):
             abs(ys[j] - ys[j - 1]) * (abs(x) + abs(xs[j - 1])),
         )
         assert c >= -1e-12 * scale
+
+
+def _reference_envelope(x, y):
+    """Monotone chain over every point, without the staircase prefilter."""
+    order = np.lexsort((y, x))
+    hull = []
+    for k in order:
+        if hull and x[hull[-1]] == x[k]:
+            continue  # same x: the lexsort placed the minimal y first
+        while len(hull) >= 2 and _cross(
+            x[hull[-2]], y[hull[-2]], x[hull[-1]], y[hull[-1]], x[k], y[k]
+        ) <= 0:
+            hull.pop()
+        hull.append(k)
+    cut = int(np.argmin(y[hull]))  # first vertex of minimal y
+    return [(x[i], y[i]) for i in hull[: cut + 1]]
+
+
+# a 9 x 9 grid in steps of 1/4: duplicates, shared x, shared minimal y and
+# collinear triples occur often and compare exactly
+grid_point_sets = st.lists(
+    st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=40
+)
+
+
+@given(grid_point_sets)
+@settings(max_examples=500, deadline=None)
+def test_envelope_prefilter_matches_plain_monotone_chain(points):
+    xy = np.array(points, dtype=float) / 4.0
+    x, y = xy[:, 0], xy[:, 1]
+    keep = lower_envelope_indices(x, y)
+    assert [(x[i], y[i]) for i in keep] == _reference_envelope(x, y)
+
+
+@pytest.mark.parametrize(
+    "points, expected",
+    [
+        ([(1, 1)], [(1, 1)]),
+        ([(1, 1), (1, 1), (1, 1)], [(1, 1)]),
+        ([(0, 2), (1, 1), (2, 0), (2, 0), (3, 0)], [(0, 2), (2, 0)]),
+        ([(0, 3), (0, 1), (1, 0), (2, 0)], [(0, 1), (1, 0)]),
+    ],
+)
+def test_envelope_degenerate_sets(points, expected):
+    xy = np.array(points, dtype=float)
+    keep = lower_envelope_indices(xy[:, 0], xy[:, 1])
+    assert [tuple(xy[i]) for i in keep] == expected
 
 
 def test_pareto_merge_idempotent_and_dominating():

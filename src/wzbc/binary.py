@@ -8,10 +8,10 @@ crossover beta is then q * min(alpha, beta) + (1 - q) * beta.
 The layered scheme constrains the common-layer description to be a degraded
 version of the refinement description (q_c <= q_r and alpha_c >= alpha_r);
 separate coding allows either degradation order of its two descriptions.
-Tradeoff regions are traced by exhaustive grid sweeps; for fixed values of
-the remaining parameters the best grid value of the last q axis is selected
-directly (the distortion is monotone in q and the rate constraint is linear
-in q, so this is exactly the grid minimum).
+Tradeoff regions are traced by exhaustive grid sweeps.  For fixed values of
+the remaining parameters the layered search selects the best grid value of
+its last q axis directly (the distortion is monotone in q and the rate
+constraint is linear in q, so this is exactly the grid minimum).
 
 The layered region is one table-driven pass per role assignment:
 
@@ -28,6 +28,24 @@ The layered region is one table-driven pass per role assignment:
    point is bounds-checked and each chunk is reduced to its envelope vertices;
 4. envelope -- the lower convex envelope of the kept vertices of both role
    assignments (plus the zero-rate corners) is the region.
+
+The separate-coding region is one theta-batched pass.  Theta enters only
+through the bad-receiver cap kappa * (1 - H2(theta * p_b)) and the cumulative
+cap; the cumulative source rate and the degradation-order mask of a
+(q_b, alpha_b, alpha_g, q_g) cell do not depend on it.
+
+1. caps -- both caps of every grid theta, from one array call of each kernel;
+2. rank -- each cell is evaluated once, in slabs of q_b rows of at most
+   _CHUNK_CELLS cells (one row when a row alone is larger), and ranked by the
+   first sorted cumulative cap that admits it; cells out of degradation order
+   get no rank;
+3. bucket minimum -- the minimum d_g per (q_b, alpha_b, rank) followed by a
+   prefix minimum over rank is the best d_g of every (theta, q_b, alpha_b);
+   the bad-receiver cap is then a mask.  These are the comparisons of a
+   per-theta loop on the same floats, so the result is exact;
+4. envelope -- every per-theta candidate set is bounds-checked and reduced to
+   its envelope vertices, the region is the envelope of those, and
+   (q_g, alpha_g) is recovered only for the region's vertices.
 """
 
 from __future__ import annotations
@@ -44,6 +62,7 @@ from .core import (
     RoleAssignment,
     TradeoffCurve,
     RATE_CLAMP_EPS,
+    bad_good_labels,
     parse_kappa,
     require_two_receivers,
     require_within_bounds,
@@ -55,8 +74,8 @@ from .optimize import lower_envelope_indices
 FEAS_TOL = 1e-12
 # index slack when flooring a continuous q bound onto the grid, in grid units
 _IDX_EPS = 1e-9
-# (tuple, q_c, alpha_c, alpha_r) cells per refinement-search chunk: bounds the
-# sweep's working arrays to a few hundred kilobytes
+# cells per layered refinement-search chunk and per separate-sweep slab: bounds
+# the sweeps' working arrays to a few hundred kilobytes
 _CHUNK_CELLS = 2**14
 
 
@@ -473,13 +492,93 @@ def separate_coding_labels(problem: BinaryProblem) -> tuple:
     side-information crossover as good."""
     validate_problem(problem)
     require_two_receivers(problem)
-    p1, p2 = problem.crossovers
-    if p1 > p2:
-        return 0, 1
-    if p2 > p1:
-        return 1, 0
-    b1, b2 = problem.sideinfo_crossovers
-    return (0, 1) if b2 <= b1 else (1, 0)
+    return bad_good_labels(problem.crossovers, problem.sideinfo_crossovers)
+
+
+def _separate_caps(p_b, p_g, kappa, thetas):
+    """Bad-receiver and cumulative channel rates of separate coding per theta.
+
+    cap_b = kappa * (1 - H2(theta * p_b)) and
+    cap_tot = cap_b + kappa * (H2(theta * p_g) - H2(p_g)), one array call of
+    each kernel over the theta grid.
+    """
+    cap_b = kappa * (1.0 - binary_entropy(binary_convolution(thetas, p_b)))
+    cap_tot = cap_b + kappa * (
+        binary_entropy(binary_convolution(thetas, p_g)) - binary_entropy(p_g)
+    )
+    return cap_b, cap_tot
+
+
+def _separate_cells(qs, alphas, r_bb, r_bg, good_first, q_b):
+    """Cumulative source rate and degradation-order mask of separate coding.
+
+    q_b is a slab of bad-description q values.  Both returned arrays have
+    shape (len(q_b), alpha_b, alpha_g * q_g), q_g fastest.  The cumulative
+    source rate is q_b r(alpha_b, beta_b) + (q_g r(alpha_g, beta_g) -
+    q_b r(alpha_b, beta_g))^+ when the good receiver has the better side
+    information and q_g r(alpha_g, beta_g) + (q_b r(alpha_b, beta_b) -
+    q_g r(alpha_g, beta_b))^+ otherwise.  The mask admits either degradation
+    order of the two descriptions.
+    """
+    res = qs.size
+    q_g = np.tile(qs, res)
+    a_g = np.repeat(alphas, res)
+    q_b = q_b[:, None, None]
+    a_b = alphas[:, None]
+    S = q_b * r_bb[:, None]
+    if good_first:
+        lhs = q_g * np.repeat(r_bg, res) - q_b * r_bg[:, None]
+        np.maximum(0.0, lhs, out=lhs)
+        lhs += S
+    else:
+        lhs = S - q_g * np.repeat(r_bb, res)
+        np.maximum(0.0, lhs, out=lhs)
+        lhs += q_g * np.repeat(r_bg, res)
+    order = ((q_b <= q_g + FEAS_TOL) & (a_b >= a_g - FEAS_TOL)) | (
+        (q_g <= q_b + FEAS_TOL) & (a_g >= a_b - FEAS_TOL)
+    )
+    return lhs, order
+
+
+def _separate_best_dg(qs, alphas, r_bb, r_bg, good_first, d_g_tab, thresholds):
+    """Best good-receiver distortion per (threshold, q_b, alpha_b).
+
+    Entry [k, i, j] is the minimum of d_g over the (alpha_g, q_g) cells in
+    degradation order with (qs[i], alphas[j]) whose cumulative source rate is
+    at most thresholds[k] (inf when there is none).  Each cell is compared
+    with the sorted thresholds once (its rank is the first threshold that
+    admits it), the bucket minimum of d_g is taken per (q_b, alpha_b, rank),
+    and a prefix minimum over rank gives every threshold at once.  The q_b
+    axis is walked in slabs of at most _CHUNK_CELLS cells (one q_b row when a
+    row alone is larger).
+    """
+    res = qs.size
+    n = len(thresholds)
+    cells = res * res
+    ranked = np.argsort(thresholds, kind="stable")
+    sorted_thr = thresholds[ranked]
+    d_g = d_g_tab.T.ravel()  # (alpha_g, q_g), q_g fastest
+    best = np.full(res * res * n, np.inf)  # (q_b, alpha_b, rank)
+    step = max(1, _CHUNK_CELLS // res**3)
+    for start in range(0, res, step):
+        lhs, admit = _separate_cells(qs, alphas, r_bb, r_bg, good_first, qs[start : start + step])
+        admit &= lhs <= sorted_thr[-1]
+        idx = np.flatnonzero(admit)
+        rank = np.searchsorted(sorted_thr, lhs.ravel()[idx])
+        del lhs, admit  # freed before the next slab is built, to bound peak memory
+        row, cell = np.divmod(idx, cells)
+        np.minimum.at(best, (row + start * res) * n + rank, d_g[cell])
+    best = np.minimum.accumulate(best.reshape(res, res, n), axis=2)
+    return np.moveaxis(best, 2, 0)[np.argsort(ranked)]
+
+
+def _separate_good_params(qs, alphas, r_bb, r_bg, good_first, d_g_tab, threshold, qb_i, ab_i):
+    """(q_g, alpha_g) grid indices of the first (alpha_g, q_g) cell attaining the
+    best good-receiver distortion of (qs[qb_i], alphas[ab_i]) at a threshold."""
+    lhs, order = _separate_cells(qs, alphas, r_bb, r_bg, good_first, qs[qb_i : qb_i + 1])
+    valid = order[0, ab_i] & (lhs[0, ab_i] <= threshold)
+    ag_i, qg_i = divmod(int(np.argmin(np.where(valid, d_g_tab.T.ravel(), np.inf))), qs.size)
+    return qg_i, ag_i
 
 
 def binary_separate_region(problem: BinaryProblem, resolution: int = 41) -> TradeoffCurve:
@@ -498,79 +597,43 @@ def binary_separate_region(problem: BinaryProblem, resolution: int = 41) -> Trad
     b, g = separate_coding_labels(problem)
     p_b, p_g = problem.crossovers[b], problem.crossovers[g]
     beta_b, beta_g = problem.sideinfo_crossovers[b], problem.sideinfo_crossovers[g]
-    kappa = float(problem.kappa)
     qs, alphas = _grids(resolution)
     thetas = np.linspace(0.0, 0.5, resolution)
+    cap_b, cap_tot = _separate_caps(p_b, p_g, float(problem.kappa), thetas)
     good_first = beta_g <= beta_b  # side information order: the good receiver's is better
     r_bb = wz_rate_kernel(alphas, beta_b)  # r(alpha, beta_b) on the alpha grid
     r_bg = wz_rate_kernel(alphas, beta_g)
     d_b_tab = layer_distortion(qs[:, None], alphas[None, :], beta_b)
     d_g_tab = layer_distortion(qs[:, None], alphas[None, :], beta_g)
-    # degradation-order mask over (q_b, alpha_b, alpha_g, q_g), q_b handled per row
-    vertices = []
-    for theta in thetas:
-        cap_b = kappa * (1.0 - binary_entropy(binary_convolution(theta, p_b)))
-        cap_tot = cap_b + kappa * (
-            binary_entropy(binary_convolution(theta, p_g)) - binary_entropy(p_g)
-        )
-        pts_x, pts_y, pts_params = [], [], []
-        for qb_i, q_b in enumerate(qs):
-            S = q_b * r_bb  # (alpha_b,)
-            ok_b = S <= cap_b + FEAS_TOL
-            if not ok_b.any():
-                continue
-            if good_first:
-                E = q_b * r_bg
-                lhs = S[:, None, None] + np.maximum(
-                    0.0, qs[None, None, :] * r_bg[None, :, None] - E[:, None, None]
-                )
-            else:
-                qr_g = qs[None, None, :] * r_bg[None, :, None]
-                lhs = qr_g + np.maximum(0.0, S[:, None, None] - qs[None, None, :] * r_bb[None, :, None])
-            cond = lhs <= cap_tot + FEAS_TOL  # (alpha_b, alpha_g, q_g)
-            order = (
-                (q_b <= qs[None, None, :] + FEAS_TOL)
-                & (alphas[:, None, None] >= alphas[None, :, None] - FEAS_TOL)
-            ) | (
-                (qs[None, None, :] <= q_b + FEAS_TOL)
-                & (alphas[None, :, None] >= alphas[:, None, None] - FEAS_TOL)
-            )
-            valid = cond & order & ok_b[:, None, None]
-            if not valid.any():
-                continue
-            d_g_cand = np.where(valid, d_g_tab.T[None, :, :], np.inf)  # (ab, ag, qg)
-            flat = d_g_cand.reshape(valid.shape[0], -1)
-            best = np.argmin(flat, axis=1)
-            d_g_min = flat[np.arange(flat.shape[0]), best]
-            for ab_i in np.nonzero(np.isfinite(d_g_min))[0]:
-                ag_i, qg_i = divmod(int(best[ab_i]), len(qs))
-                pts_x.append(d_b_tab[qb_i, ab_i])
-                pts_y.append(d_g_min[ab_i])
-                pts_params.append((theta, q_b, alphas[ab_i], qs[qg_i], alphas[ag_i]))
-        if not pts_x:
+    grid = (qs, alphas, r_bb, r_bg, good_first, d_g_tab)
+    best = _separate_best_dg(*grid, cap_tot + FEAS_TOL)  # (theta, q_b, alpha_b)
+    ok_b = np.outer(qs, r_bb) <= cap_b[:, None, None] + FEAS_TOL
+    # per-theta envelope vertices in receiver coordinates (D1 on the x axis)
+    xs, ys, origin = [], [], []
+    for t in range(resolution):
+        qb_i, ab_i = np.nonzero(ok_b[t] & np.isfinite(best[t]))
+        if qb_i.size == 0:
             continue
-        # receiver coordinates: D1 on the x axis
-        xb = np.asarray(pts_x) if b == 0 else np.asarray(pts_y)
-        yb = np.asarray(pts_y) if b == 0 else np.asarray(pts_x)
-        require_within_bounds(problem, (xb, yb))
-        keep = lower_envelope_indices(xb, yb)
-        for i in keep:
-            theta_i, qb_v, ab_v, qg_v, ag_v = pts_params[i]
-            point = DistortionPoint(
-                D=(xb[i], yb[i]),
-                scheme="separate",
-                params={
-                    "theta": float(theta_i),
-                    "q_b": float(qb_v),
-                    "alpha_b": float(ab_v),
-                    "q_g": float(qg_v),
-                    "alpha_g": float(ag_v),
-                },
-            )
-            vertices.append(point)
-    if not vertices:
+        d_b, d_g = d_b_tab[qb_i, ab_i], best[t, qb_i, ab_i]
+        x, y = (d_b, d_g) if b == 0 else (d_g, d_b)
+        require_within_bounds(problem, (x, y))
+        keep = lower_envelope_indices(x, y)
+        xs.append(x[keep])
+        ys.append(y[keep])
+        origin.extend((t, qb_i[i], ab_i[i]) for i in keep)
+    if not origin:
         raise ValueError("separate-coding sweep produced no feasible points")
-    x = np.array([v.D[0] for v in vertices])
-    y = np.array([v.D[1] for v in vertices])
-    keep = lower_envelope_indices(x, y)
-    return TradeoffCurve(points=tuple(vertices[i] for i in keep), envelope_applied=True)
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    points = []
+    for i in lower_envelope_indices(x, y):
+        t, qb_i, ab_i = origin[i]
+        qg_i, ag_i = _separate_good_params(*grid, cap_tot[t] + FEAS_TOL, qb_i, ab_i)
+        params = {
+            "theta": float(thetas[t]),
+            "q_b": float(qs[qb_i]),
+            "alpha_b": float(alphas[ab_i]),
+            "q_g": float(qs[qg_i]),
+            "alpha_g": float(alphas[ag_i]),
+        }
+        points.append(DistortionPoint(D=(x[i], y[i]), scheme="separate", params=params))
+    return TradeoffCurve(points=tuple(points), envelope_applied=True)

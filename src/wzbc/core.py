@@ -171,6 +171,24 @@ def require_two_receivers(problem: Problem) -> None:
         )
 
 
+def bad_good_labels(channel, sideinfo) -> tuple:
+    """0-based (bad, good) receiver indices of two receivers for separate coding.
+
+    channel and sideinfo hold one parameter per receiver, larger meaning
+    worse: noise variances W_k or crossovers p_k, and side-information MMSEs
+    N_k or crossovers beta_k.  The bad receiver has the larger channel
+    parameter; equal channel parameters label the receiver with the smaller
+    side-information parameter as good (receiver 2 when those tie as well).
+    """
+    c1, c2 = channel
+    if c1 > c2:
+        return 0, 1
+    if c2 > c1:
+        return 1, 0
+    s1, s2 = sideinfo
+    return (0, 1) if s2 <= s1 else (1, 0)
+
+
 @dataclass(frozen=True)
 class RoleAssignment:
     """Which receiver decodes only the common layer (c) and which also decodes

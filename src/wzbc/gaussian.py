@@ -23,6 +23,7 @@ from .core import (
     GaussianProblem,
     RateTriple,
     RoleAssignment,
+    bad_good_labels,
     require_two_receivers,
     require_within_bounds,
     validate_problem,
@@ -292,13 +293,7 @@ def separate_coding_labels(problem: GaussianProblem) -> tuple:
     """
     validate_problem(problem)
     require_two_receivers(problem)
-    W1, W2 = problem.noise_vars
-    if W1 > W2:
-        return 0, 1
-    if W2 > W1:
-        return 1, 0
-    N1, N2 = problem.sideinfo_vars
-    return (0, 1) if N2 <= N1 else (1, 0)
+    return bad_good_labels(problem.noise_vars, problem.sideinfo_vars)
 
 
 def gaussian_separate_closed_form(problem: GaussianProblem, D_b: float) -> float:

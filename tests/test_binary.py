@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from wzbc.core import BinaryProblem, RoleAssignment
+from wzbc.core import (
+    BinaryProblem,
+    GaussianProblem,
+    RoleAssignment,
+    bad_good_labels,
+    parse_kappa,
+)
 from wzbc.binary import (
     BinaryChannelParams,
     BinarySourceParams,
@@ -19,10 +25,17 @@ from wzbc.binary import (
     binary_wz_distortion,
     layer_distortion,
     _binary_lds_vertices,
+    _grids,
     _lds_channel_table,
     _lds_refinement_search,
+    _separate_best_dg,
+    _separate_caps,
+    _separate_cells,
     _undominated,
+    FEAS_TOL,
+    separate_coding_labels,
 )
+from wzbc.gaussian import separate_coding_labels as gaussian_separate_coding_labels
 from wzbc.infotheory import binary_convolution, binary_entropy, wz_rate_kernel
 from wzbc.optimize import envelope_value, lower_envelope_indices
 
@@ -296,6 +309,179 @@ def test_separate_channel_bounds_at_theta_extremes():
     assert cap_inc(0.0) == pytest.approx(0.0, abs=1e-15)
     assert cap_b(0.5) == pytest.approx(0.0, abs=1e-12)
     assert cap_inc(0.5) == pytest.approx(1 - binary_entropy(p_g), abs=1e-12)
+
+
+def reference_separate_vertices(problem, resolution):
+    """The separate-coding sweep as one (theta, q_b) loop over res^3 cubes:
+    the former body of binary_separate_region, kept as the exactness oracle.
+    Returns the region's (D, params) pairs."""
+    b, g = separate_coding_labels(problem)
+    p_b, p_g = problem.crossovers[b], problem.crossovers[g]
+    beta_b, beta_g = problem.sideinfo_crossovers[b], problem.sideinfo_crossovers[g]
+    kappa = float(problem.kappa)
+    qs, alphas = _grids(resolution)
+    thetas = np.linspace(0.0, 0.5, resolution)
+    good_first = beta_g <= beta_b
+    r_bb = wz_rate_kernel(alphas, beta_b)
+    r_bg = wz_rate_kernel(alphas, beta_g)
+    d_b_tab = layer_distortion(qs[:, None], alphas[None, :], beta_b)
+    d_g_tab = layer_distortion(qs[:, None], alphas[None, :], beta_g)
+    vertices = []
+    for theta in thetas:
+        cap_b = kappa * (1.0 - binary_entropy(binary_convolution(theta, p_b)))
+        cap_tot = cap_b + kappa * (
+            binary_entropy(binary_convolution(theta, p_g)) - binary_entropy(p_g)
+        )
+        pts_x, pts_y, pts_params = [], [], []
+        for qb_i, q_b in enumerate(qs):
+            S = q_b * r_bb
+            ok_b = S <= cap_b + FEAS_TOL
+            if not ok_b.any():
+                continue
+            if good_first:
+                E = q_b * r_bg
+                lhs = S[:, None, None] + np.maximum(
+                    0.0, qs[None, None, :] * r_bg[None, :, None] - E[:, None, None]
+                )
+            else:
+                qr_g = qs[None, None, :] * r_bg[None, :, None]
+                lhs = qr_g + np.maximum(
+                    0.0, S[:, None, None] - qs[None, None, :] * r_bb[None, :, None]
+                )
+            cond = lhs <= cap_tot + FEAS_TOL
+            order = (
+                (q_b <= qs[None, None, :] + FEAS_TOL)
+                & (alphas[:, None, None] >= alphas[None, :, None] - FEAS_TOL)
+            ) | (
+                (qs[None, None, :] <= q_b + FEAS_TOL)
+                & (alphas[None, :, None] >= alphas[:, None, None] - FEAS_TOL)
+            )
+            valid = cond & order & ok_b[:, None, None]
+            if not valid.any():
+                continue
+            flat = np.where(valid, d_g_tab.T[None, :, :], np.inf).reshape(valid.shape[0], -1)
+            best = np.argmin(flat, axis=1)
+            d_g_min = flat[np.arange(flat.shape[0]), best]
+            for ab_i in np.nonzero(np.isfinite(d_g_min))[0]:
+                ag_i, qg_i = divmod(int(best[ab_i]), len(qs))
+                pts_x.append(d_b_tab[qb_i, ab_i])
+                pts_y.append(d_g_min[ab_i])
+                pts_params.append((theta, q_b, alphas[ab_i], qs[qg_i], alphas[ag_i]))
+        if not pts_x:
+            continue
+        xb = np.asarray(pts_x) if b == 0 else np.asarray(pts_y)
+        yb = np.asarray(pts_y) if b == 0 else np.asarray(pts_x)
+        for i in lower_envelope_indices(xb, yb):
+            names = ("theta", "q_b", "alpha_b", "q_g", "alpha_g")
+            vertices.append(((xb[i], yb[i]), dict(zip(names, map(float, pts_params[i])))))
+    x = np.array([d[0] for d, _ in vertices])
+    y = np.array([d[1] for d, _ in vertices])
+    return [vertices[i] for i in lower_envelope_indices(x, y)]
+
+
+# both side-information orders, equal crossovers (with and without a
+# side-information tie), crossovers near 0.01 and 0.3, kappa 1 and 1/2
+SEPARATE_PROBLEMS = [
+    BinaryProblem((0.05, 0.1), (0.2, 0.1), kappa=1),  # good receiver's side info worse
+    BinaryProblem((0.01, 0.3), (0.1, 0.4), kappa=1),  # good receiver's side info better
+    BinaryProblem((0.3, 0.012), (0.05, 0.45), kappa="1/2"),
+    BinaryProblem((0.1, 0.1), (0.3, 0.15), kappa="1/2"),  # label tie on the crossover
+    BinaryProblem((0.2, 0.2), (0.25, 0.25), kappa=1),  # full label tie
+]
+
+
+@pytest.mark.parametrize("resolution", [3, 5, 11, 21])
+@pytest.mark.parametrize("problem", SEPARATE_PROBLEMS)
+def test_separate_region_equals_theta_loop_reference(problem, resolution):
+    curve = binary_separate_region(problem, resolution)
+    want = reference_separate_vertices(problem, resolution)
+    assert [[float(d).hex() for d in p.D] for p in curve.points] == [
+        [float(d).hex() for d in D] for D, _ in want
+    ]
+    assert [dict(p.params) for p in curve.points] == [params for _, params in want]
+
+
+@pytest.mark.parametrize("resolution", [15, 27, 41])
+@pytest.mark.parametrize("kappa", [1, "1/2"])
+def test_separate_caps_equal_scalar_expressions_bitwise(resolution, kappa):
+    k = float(parse_kappa(kappa))
+    thetas = np.linspace(0.0, 0.5, resolution)
+    for p_b, p_g in ((0.1, 0.05), (0.3, 0.012), (0.2, 0.2)):
+        cap_b, cap_tot = _separate_caps(p_b, p_g, k, thetas)
+        for theta, cb, ct in zip(thetas, cap_b, cap_tot):
+            want_b = k * (1.0 - binary_entropy(binary_convolution(theta, p_b)))
+            want_tot = want_b + k * (
+                binary_entropy(binary_convolution(theta, p_g)) - binary_entropy(p_g)
+            )
+            assert (float(cb).hex(), float(ct).hex()) == (want_b.hex(), want_tot.hex())
+
+
+@pytest.mark.parametrize("resolution", [7, 17])
+@pytest.mark.parametrize("good_first", [True, False])
+def test_separate_best_dg_equals_brute_force_at_tied_thresholds(good_first, resolution):
+    qs, alphas = _grids(resolution)
+    r_bb = wz_rate_kernel(alphas, 0.3)
+    r_bg = wz_rate_kernel(alphas, 0.15)
+    d_g_tab = layer_distortion(qs[:, None], alphas[None, :], 0.15)
+    lhs, order = _separate_cells(qs, alphas, r_bb, r_bg, good_first, qs)
+    # thresholds equal to cell values, unsorted, repeated, and one admitting nothing
+    picks = np.random.default_rng(resolution).choice(lhs[order], 9)
+    thresholds = np.concatenate((picks, picks[:2], [-1.0]))
+    best = _separate_best_dg(qs, alphas, r_bb, r_bg, good_first, d_g_tab, thresholds)
+    d_g = d_g_tab.T.ravel()
+    for k, threshold in enumerate(thresholds):
+        want = np.where(order & (lhs <= threshold), d_g, np.inf).min(axis=2)
+        assert np.array_equal(best[k], want)
+
+
+@pytest.mark.parametrize("problem", SEPARATE_PROBLEMS)
+def test_separate_vertices_carry_feasible_witnesses(problem):
+    b, g = separate_coding_labels(problem)
+    p_b, p_g = problem.crossovers[b], problem.crossovers[g]
+    beta_b, beta_g = problem.sideinfo_crossovers[b], problem.sideinfo_crossovers[g]
+    k = float(problem.kappa)
+    for p in binary_separate_region(problem, 21).points:
+        theta, q_b, a_b, q_g, a_g = (
+            p.params[name] for name in ("theta", "q_b", "alpha_b", "q_g", "alpha_g")
+        )
+        cap_b = k * (1.0 - binary_entropy(binary_convolution(theta, p_b)))
+        cap_tot = cap_b + k * (
+            binary_entropy(binary_convolution(theta, p_g)) - binary_entropy(p_g)
+        )
+        bad_rate = q_b * wz_rate_kernel(a_b, beta_b)
+        assert bad_rate <= cap_b + FEAS_TOL
+        if beta_g <= beta_b:
+            total = bad_rate + max(0.0, q_g * wz_rate_kernel(a_g, beta_g)
+                                   - q_b * wz_rate_kernel(a_b, beta_g))
+        else:
+            total = q_g * wz_rate_kernel(a_g, beta_g) + max(
+                0.0, bad_rate - q_g * wz_rate_kernel(a_g, beta_b)
+            )
+        assert total <= cap_tot + FEAS_TOL
+        assert (q_b <= q_g + FEAS_TOL and a_b >= a_g - FEAS_TOL) or (
+            q_g <= q_b + FEAS_TOL and a_g >= a_b - FEAS_TOL
+        )
+        D = [None, None]
+        D[b] = float(layer_distortion(q_b, a_b, beta_b))
+        D[g] = float(layer_distortion(q_g, a_g, beta_g))
+        assert tuple(D) == p.D
+
+
+@pytest.mark.parametrize(
+    "channel, sideinfo, want",
+    [
+        ((0.1, 0.05), (0.2, 0.3), (0, 1)),
+        ((0.05, 0.1), (0.2, 0.3), (1, 0)),
+        ((0.1, 0.1), (0.3, 0.2), (0, 1)),  # channel tie: smaller side-info parameter is good
+        ((0.1, 0.1), (0.2, 0.3), (1, 0)),
+        ((0.1, 0.1), (0.2, 0.2), (0, 1)),  # full tie: receiver 2 is good
+    ],
+)
+def test_separate_coding_labels_rule_for_both_problem_kinds(channel, sideinfo, want):
+    assert bad_good_labels(channel, sideinfo) == want
+    assert separate_coding_labels(BinaryProblem(channel, sideinfo)) == want
+    gaussian = GaussianProblem(power=1.0, noise_vars=channel, sideinfo_vars=sideinfo)
+    assert gaussian_separate_coding_labels(gaussian) == want
 
 
 def test_lds_envelope_below_separate_envelope():

@@ -94,11 +94,9 @@ def _gaussian_curve(problem, scheme, resolution, extend_flat):
         if problem.kappa == 1:
             dmin, dmax = gs.gaussian_lds_dc_range(problem, assign)
             top = problem.sideinfo_vars[assign.c] if extend_flat else dmax
-            rows = []
-            for d_c in np.linspace(dmin, top, resolution):
-                d_r = gs.gaussian_lds_closed_form(problem, assign, d_c, extend_flat)
-                rows.append(_to_receiver_order(assign, d_c, d_r))
-            return sorted(rows)
+            d_c = np.linspace(dmin, top, resolution)
+            d_r = gs.gaussian_lds_closed_form(problem, assign, d_c, extend_flat)
+            return _receiver_rows(assign, d_c, d_r)
         cloud = gs.lds_parametric_cloud(problem, assign, resolution, resolution)
         x, y = _cloud_receiver_xy(assign, cloud)
         keep = lower_envelope_indices(x, y)
@@ -108,20 +106,10 @@ def _gaussian_curve(problem, scheme, resolution, extend_flat):
             lo = problem.sideinfo_vars[assign.c] * problem.noise_vars[assign.c] / (
                 P + problem.noise_vars[assign.c]
             )
-            hi = problem.sideinfo_vars[assign.c]
-            rows = [
-                _to_receiver_order(
-                    assign, d_c, gs.gaussian_scheme3_closed_form(problem, assign, d_c)
-                )
-                for d_c in np.linspace(lo, hi, resolution)
-            ]
-            return sorted(rows)
-        rows = []
-        for nu in np.linspace(0.0, 1.0, resolution):
-            rates = gs.gaussian_scheme3_rates(problem, assign, nu)
-            pt = gs.gaussian_lds_distortions(problem, assign, rates)
-            rows.append((pt.D[0], pt.D[1]))
-        return sorted(rows)
+            d_c = np.linspace(lo, problem.sideinfo_vars[assign.c], resolution)
+            d_r = gs.gaussian_scheme3_closed_form(problem, assign, d_c)
+            return _receiver_rows(assign, d_c, d_r)
+        return _receiver_rows(assign, *gs.gaussian_scheme3_curve(problem, assign, resolution))
     if scheme == "separate":
         sweep = gs.gaussian_separate_sweep(problem, resolution)
         b, g = gs.separate_coding_labels(problem)
@@ -136,8 +124,10 @@ def gaussian_trivial_point(problem):
     return tuple(gs.gaussian_trivial_converse(problem))
 
 
-def _to_receiver_order(assign, d_c, d_r):
-    return (d_c, d_r) if assign.c == 0 else (d_r, d_c)
+def _receiver_rows(assign, d_c, d_r):
+    """Sorted (D1, D2) rows of a curve given in (D_c, D_r) arrays."""
+    d1, d2 = (d_c, d_r) if assign.c == 0 else (d_r, d_c)
+    return sorted(zip(d1.tolist(), d2.tolist()))
 
 
 def _cloud_receiver_xy(assign, cloud):
@@ -258,9 +248,7 @@ def _suite_gaussian_oracle(tol, seed):
         dmin, dmax = gs.gaussian_lds_dc_range(problem, assign)
         samples = np.linspace(dmin, dmax, 50)
         env = np.interp(samples, cloud["d_c"][keep], cloud["d_r"][keep])
-        closed = np.array(
-            [gs.gaussian_lds_closed_form(problem, assign, d) for d in samples]
-        )
+        closed = gs.gaussian_lds_closed_form(problem, assign, samples)
         worst = max(worst, float(np.max(np.abs(env - closed))))
     return _report("gaussian-oracle", worst < tol, f"max deviation {worst:.3e} (tol {tol:g})")
 
@@ -276,12 +264,12 @@ def _suite_gaussian_ordering(tol, seed):
         problem = GaussianProblem(P, W, N, Fraction(1))
         assign = gs.choose_refinement_receiver(problem)
         dmin, dmax = gs.gaussian_lds_dc_range(problem, assign)
-        for d_c in np.linspace(dmin, dmax, 64):
-            lds = gs.gaussian_lds_closed_form(problem, assign, d_c)
-            worst = max(worst, lds - gs.gaussian_scheme3_closed_form(problem, assign, d_c))
-            b, _ = gs.separate_coding_labels(problem)
-            if b == assign.c:
-                worst = max(worst, lds - gs.gaussian_separate_closed_form(problem, d_c))
+        d_c = np.linspace(dmin, dmax, 64)
+        lds = gs.gaussian_lds_closed_form(problem, assign, d_c)
+        worst = max(worst, np.max(lds - gs.gaussian_scheme3_closed_form(problem, assign, d_c)))
+        b, _ = gs.separate_coding_labels(problem)
+        if b == assign.c:
+            worst = max(worst, np.max(lds - gs.gaussian_separate_closed_form(problem, d_c)))
     return _report("gaussian-ordering", worst <= tol, f"max violation {worst:.3e} (tol {tol:g})")
 
 

@@ -166,6 +166,20 @@ def gaussian_lds_channel_rates(
     return RateTriple(r_cc, r_cr, r_rr).clamp()
 
 
+def _lds_distortion_pair(problem, assign, R_cc, R_cr, R_rr) -> tuple:
+    """(D_c, D_r) of one nonnegative rate triple, in scalar (libm) arithmetic."""
+    kappa = float(problem.kappa)
+    N_c = problem.sideinfo_vars[assign.c]
+    N_r = problem.sideinfo_vars[assign.r]
+    phi = min(
+        (2.0 ** (2.0 * kappa * R_cc) - 1.0) / N_c,
+        (2.0 ** (2.0 * kappa * R_cr) - 1.0) / N_r,
+    )
+    d_c = N_c / (1.0 + N_c * phi)
+    d_r = N_r / (1.0 + N_r * phi) * 2.0 ** (-2.0 * kappa * R_rr)
+    return d_c, d_r
+
+
 def gaussian_lds_distortions(
     problem: GaussianProblem, assign: RoleAssignment, rates: RateTriple
 ) -> DistortionPoint:
@@ -178,15 +192,7 @@ def gaussian_lds_distortions(
     require_two_receivers(problem)
     if min(rates.as_tuple()) < 0:
         raise ValueError(f"rates must be nonnegative, got {rates.as_tuple()}")
-    kappa = float(problem.kappa)
-    N_c = problem.sideinfo_vars[assign.c]
-    N_r = problem.sideinfo_vars[assign.r]
-    phi = min(
-        (2.0 ** (2.0 * kappa * rates.R_cc) - 1.0) / N_c,
-        (2.0 ** (2.0 * kappa * rates.R_cr) - 1.0) / N_r,
-    )
-    d_c = N_c / (1.0 + N_c * phi)
-    d_r = N_r / (1.0 + N_r * phi) * 2.0 ** (-2.0 * kappa * rates.R_rr)
+    d_c, d_r = _lds_distortion_pair(problem, assign, *rates.as_tuple())
     D = [0.0, 0.0]
     D[assign.c] = d_c
     D[assign.r] = d_r
@@ -229,12 +235,24 @@ def gaussian_lds_dc_range(problem: GaussianProblem, assign: RoleAssignment) -> t
     return d_min, d_max
 
 
+def _require_in_domain(name: str, values: np.ndarray, inside, domain: str) -> None:
+    """Raise ValueError naming the first element of values outside its domain."""
+    if not inside.all():
+        bad = float(values[~inside].flat[0])
+        raise ValueError(f"{name} = {bad} outside {domain}")
+
+
+def _scalar_or_array(values):
+    """A float for a scalar argument, the array otherwise."""
+    return float(values) if values.ndim == 0 else values
+
+
 def gaussian_lds_closed_form(
     problem: GaussianProblem,
     assign: RoleAssignment,
-    D_c: float,
+    D_c,
     extend_flat: bool = False,
-) -> float:
+):
     """Bandwidth-matched layered tradeoff D_r as a function of D_c.
 
     D_r = N_r N_c^2 / (D_c N_c + N_r (N_c - D_c)) * F where
@@ -242,21 +260,34 @@ def gaussian_lds_closed_form(
     F = W_c / (P + W_c) when W_c <= W_r.  With ``extend_flat`` the curve is
     continued at the refinement receiver's point-to-point floor for
     D_c in (D_c_max, N_c].
+
+    D_c is a scalar (a float is returned) or an array, evaluated elementwise
+    with the scalar formula's operations, so both give the same bits.  The
+    domain is checked once; any element outside it raises ValueError.
     """
     d_min, d_max = gaussian_lds_dc_range(problem, assign)
     P = problem.power
     W_c, W_r = problem.noise_vars[assign.c], problem.noise_vars[assign.r]
     N_c, N_r = problem.sideinfo_vars[assign.c], problem.sideinfo_vars[assign.r]
-    if extend_flat and d_max < N_c and d_max - RANGE_GUARD < D_c <= N_c + RANGE_GUARD:
-        return gaussian_wz_distortion(N_r, gaussian_capacity(P, W_r))
-    if not d_min - RANGE_GUARD <= D_c <= d_max + RANGE_GUARD:
-        raise ValueError(f"D_c = {D_c} outside the closed-form domain [{d_min}, {d_max}]")
+    D_c = np.asarray(D_c, dtype=float)
+    flat = np.zeros(D_c.shape, dtype=bool)
+    if extend_flat and d_max < N_c:
+        flat = (d_max - RANGE_GUARD < D_c) & (D_c <= N_c + RANGE_GUARD)
+    _require_in_domain(
+        "D_c",
+        D_c,
+        flat | ((d_min - RANGE_GUARD <= D_c) & (D_c <= d_max + RANGE_GUARD)),
+        f"the closed-form domain [{d_min}, {d_max}]",
+    )
     lead = N_r * N_c * N_c / (D_c * N_c + N_r * (N_c - D_c))
     if W_c > W_r:
         factor = W_r * D_c / ((W_r - W_c) * N_c + (P + W_c) * D_c)
     else:
         factor = W_c / (P + W_c)
-    return lead * factor
+    D_r = lead * factor
+    if flat.any():
+        D_r = np.where(flat, gaussian_wz_distortion(N_r, gaussian_capacity(P, W_r)), D_r)
+    return _scalar_or_array(D_r)
 
 
 def gaussian_lds_dc_of_dr(
@@ -296,12 +327,13 @@ def separate_coding_labels(problem: GaussianProblem) -> tuple:
     return bad_good_labels(problem.noise_vars, problem.sideinfo_vars)
 
 
-def gaussian_separate_closed_form(problem: GaussianProblem, D_b: float) -> float:
+def gaussian_separate_closed_form(problem: GaussianProblem, D_b):
     """Bandwidth-matched separate source/channel coding tradeoff D_g(D_b).
 
     The branch is selected by the side information degradation order: the
     single-expression form when the good channel also has the better side
     information (N_g <= N_b), otherwise the max of the two constraints.
+    D_b is a scalar or an array, as for ``gaussian_lds_closed_form``.
     """
     validate_problem(problem)
     require_two_receivers(problem)
@@ -312,15 +344,17 @@ def gaussian_separate_closed_form(problem: GaussianProblem, D_b: float) -> float
     W_b, W_g = problem.noise_vars[b], problem.noise_vars[g]
     N_b, N_g = problem.sideinfo_vars[b], problem.sideinfo_vars[g]
     lo = gaussian_wz_distortion(N_b, gaussian_capacity(P, W_b))
-    if not lo - RANGE_GUARD <= D_b <= N_b + RANGE_GUARD:
-        raise ValueError(f"D_b = {D_b} outside [{lo}, {N_b}]")
+    D_b = np.asarray(D_b, dtype=float)
+    _require_in_domain(
+        "D_b", D_b, (lo - RANGE_GUARD <= D_b) & (D_b <= N_b + RANGE_GUARD), f"[{lo}, {N_b}]"
+    )
     denom_ch = (W_g - W_b) * N_b + (P + W_b) * D_b
     if N_g <= N_b:
-        return (N_g * N_b * N_b * W_g * D_b) / (
-            (D_b * N_b + N_g * (N_b - D_b)) * denom_ch
+        return _scalar_or_array(
+            (N_g * N_b * N_b * W_g * D_b) / ((D_b * N_b + N_g * (N_b - D_b)) * denom_ch)
         )
     alt = N_b * (N_g * W_g - (P + W_b) * D_b - N_b * (W_g - W_b)) / (N_g - N_b)
-    return N_g / denom_ch * max(W_g * D_b, alt)
+    return _scalar_or_array(N_g / denom_ch * np.maximum(W_g * D_b, alt))
 
 
 def gaussian_separate_feasible(
@@ -366,23 +400,46 @@ def gaussian_scheme3_rates(
     require_two_receivers(problem)
     if not 0.0 <= nu <= 1.0:
         raise ValueError(f"nu must lie in [0, 1], got {nu}")
+    return RateTriple(*_scheme3_rate_triple(problem, assign, nu))
+
+
+def _scheme3_rate_triple(problem, assign, nu) -> tuple:
+    """(R_cc, R_cr, R_rr) of the reversed-decoding variant, in scalar (libm) arithmetic."""
     P = problem.power
     W_c, W_r = problem.noise_vars[assign.c], problem.noise_vars[assign.r]
     nubar = 1.0 - nu
     r_cc = 0.5 * math.log2(1.0 + nu * P / W_c)
     r_cr = 0.5 * math.log2(1.0 + nu * P / W_r)
     r_rr = 0.5 * math.log2(1.0 + nubar * P / (nu * P + W_r)) if nu > 0 else gaussian_capacity(P, W_r)
-    return RateTriple(r_cc, r_cr, r_rr)
+    return r_cc, r_cr, r_rr
 
 
-def gaussian_scheme3_closed_form(
-    problem: GaussianProblem, assign: RoleAssignment, D_c: float
-) -> float:
+def gaussian_scheme3_curve(problem: GaussianProblem, assign: RoleAssignment, count: int):
+    """Distortion pairs of the reversed-decoding variant at nu = linspace(0, 1, count).
+
+    Returns arrays (D_c, D_r).  Each point is the scalar
+    ``gaussian_lds_distortions(gaussian_scheme3_rates(nu))`` value, computed
+    with the same libm calls (numpy's vectorized log2 and pow can differ in
+    the last bit); the problem is validated and the curve bounds-checked once.
+    """
+    validate_problem(problem)
+    require_two_receivers(problem)
+    pairs = [
+        _lds_distortion_pair(problem, assign, *_scheme3_rate_triple(problem, assign, nu))
+        for nu in np.linspace(0.0, 1.0, count).tolist()
+    ]
+    d_c, d_r = np.array(pairs).reshape(-1, 2).T
+    require_within_bounds(problem, (d_c, d_r) if assign.c == 0 else (d_r, d_c))
+    return d_c, d_r
+
+
+def gaussian_scheme3_closed_form(problem: GaussianProblem, assign: RoleAssignment, D_c):
     """Bandwidth-matched closed form of the reversed-decoding variant.
 
     D_r = [N_r W_r / (P + W_r)] * [D_c N_c + (N_c W_c / W_r)(N_c - D_c)]
                                 / [D_c N_c + N_r (N_c - D_c)]
-    for D_c in [N_c W_c / (P + W_c), N_c].
+    for D_c in [N_c W_c / (P + W_c), N_c].  D_c is a scalar or an array, as
+    for ``gaussian_lds_closed_form``.
     """
     validate_problem(problem)
     require_two_receivers(problem)
@@ -392,12 +449,14 @@ def gaussian_scheme3_closed_form(
     W_c, W_r = problem.noise_vars[assign.c], problem.noise_vars[assign.r]
     N_c, N_r = problem.sideinfo_vars[assign.c], problem.sideinfo_vars[assign.r]
     lo = N_c * W_c / (P + W_c)
-    if not lo - RANGE_GUARD <= D_c <= N_c + RANGE_GUARD:
-        raise ValueError(f"D_c = {D_c} outside [{lo}, {N_c}]")
+    D_c = np.asarray(D_c, dtype=float)
+    _require_in_domain(
+        "D_c", D_c, (lo - RANGE_GUARD <= D_c) & (D_c <= N_c + RANGE_GUARD), f"[{lo}, {N_c}]"
+    )
     lead = N_r * W_r / (P + W_r)
     num = D_c * N_c + (N_c * W_c / W_r) * (N_c - D_c)
     den = D_c * N_c + N_r * (N_c - D_c)
-    return lead * num / den
+    return _scalar_or_array(lead * num / den)
 
 
 def lds_parametric_cloud(
@@ -412,7 +471,16 @@ def lds_parametric_cloud(
 
     Returns a dict of flat arrays {d_c, d_r, nu, gamma} over the grid cells
     whose rate triple needed no clamping (clamped cells are skipped, as are
-    nu = 0 cells with gamma != 0, where only the gamma = 0 limit is defined).
+    nu = 0 cells with gamma != 0, where only the gamma = 0 limit is defined),
+    in row-major (nu, gamma) order.  When no kept cell has nu = 0 the nu = 0
+    limit corner (gamma forced to 0) is appended.
+
+    The grid is compacted as it is evaluated: R_cc is computed on every cell,
+    R_cr only on the cells that pass the R_cc test, and R_rr and the
+    distortions only on the cells that pass both.  Terms of one axis are
+    computed once per row or column and broadcast, so every cell value comes
+    from the same elementwise expression on the same floats as on a full
+    meshgrid.
     """
     validate_problem(problem)
     require_two_receivers(problem)
@@ -422,19 +490,26 @@ def lds_parametric_cloud(
     N_c, N_r = problem.sideinfo_vars[assign.c], problem.sideinfo_vars[assign.r]
     nu = np.linspace(0.0, 1.0, nu_count)
     gamma = np.linspace(gamma_lo, gamma_hi, gamma_count)
-    NU, G = np.meshgrid(nu, gamma, indexing="ij")
-    nubar = 1.0 - NU
+    nubar_p = (1.0 - nu) * P
     with np.errstate(divide="ignore", invalid="ignore"):
-        dpc = np.where(NU > 0, G * G / (NU * P), np.inf)
-        dpc = np.where((NU == 0) & (G == 0), 0.0, dpc)
-        valid = np.isfinite(dpc)
-        denom_c = 1.0 + nubar * P * (dpc + (1.0 - G) ** 2 / W_c)
-        denom_r = 1.0 + nubar * P * (dpc + (1.0 - G) ** 2 / W_r)
+        dpc = (gamma * gamma)[None, :] / (nu * P)[:, None]
+        dpc[nu == 0] = np.where(gamma == 0, 0.0, np.inf)  # nu = 0: only the gamma = 0 limit
+        denom_c = 1.0 + nubar_p[:, None] * (dpc + ((1.0 - gamma) ** 2 / W_c)[None, :])
         r_cc = 0.5 * np.log2((1.0 + P / W_c) / denom_c)
+        # skip materially clamped cells; boundary noise is snapped to 0 below
+        kept = np.flatnonzero(np.isfinite(dpc) & (r_cc >= -RANGE_GUARD))
+        row, col = np.divmod(kept, gamma_count)
+        dpc, r_cc = dpc.ravel()[kept], r_cc.ravel()[kept]
+        denom_r = 1.0 + nubar_p[row] * (dpc + ((1.0 - gamma) ** 2 / W_r)[col])
         r_cr = 0.5 * np.log2((1.0 + P / W_r) / denom_r)
+        ok = np.flatnonzero(r_cr >= -RANGE_GUARD)
+        row, col, r_cc, r_cr, denom_r = row[ok], col[ok], r_cc[ok], r_cr[ok], denom_r[ok]
+        # the four outputs are written in place, with a spare column for the corner
+        cloud = np.empty((4, ok.size + 1))
+        d_c, d_r, nu_kept, gamma_kept = cloud[:, :-1]
+        np.take(nu, row, out=nu_kept)
+        np.take(gamma, col, out=gamma_kept)
         r_rr = 0.5 * np.log2(denom_r)
-        # snap float boundary noise to 0; skip materially clamped cells
-        valid &= (r_cc >= -RANGE_GUARD) & (r_cr >= -RANGE_GUARD)
         r_cc = np.maximum(r_cc, 0.0)
         r_cr = np.maximum(r_cr, 0.0)
         r_rr = np.maximum(r_rr, 0.0)
@@ -442,25 +517,15 @@ def lds_parametric_cloud(
             (2.0 ** (2.0 * kappa * r_cc) - 1.0) / N_c,
             (2.0 ** (2.0 * kappa * r_cr) - 1.0) / N_r,
         )
-        d_c = N_c / (1.0 + N_c * phi)
-        d_r = N_r / (1.0 + N_r * phi) * 2.0 ** (-2.0 * kappa * r_rr)
-    keep = valid.ravel()
-    out = {
-        "d_c": d_c.ravel()[keep],
-        "d_r": d_r.ravel()[keep],
-        "nu": NU.ravel()[keep],
-        "gamma": G.ravel()[keep],
-    }
-    if not np.any(out["nu"] == 0.0):
+        np.divide(N_c, 1.0 + N_c * phi, out=d_c)
+        np.multiply(N_r / (1.0 + N_r * phi), 2.0 ** (-2.0 * kappa * r_rr), out=d_r)
+    if np.any(nu_kept == 0.0):
+        cloud = cloud[:, :-1]
+    else:
         # gamma grid lacks 0: append the nu = 0 limit corner (gamma forced to 0)
         corner_dr = N_r * 2.0 ** (-2.0 * kappa * gaussian_capacity(P, W_r))
-        out = {
-            "d_c": np.append(out["d_c"], N_c),
-            "d_r": np.append(out["d_r"], corner_dr),
-            "nu": np.append(out["nu"], 0.0),
-            "gamma": np.append(out["gamma"], 0.0),
-        }
-    return out
+        cloud[:, -1] = (N_c, corner_dr, 0.0, 0.0)
+    return dict(zip(("d_c", "d_r", "nu", "gamma"), cloud))
 
 
 def gaussian_separate_sweep(problem: GaussianProblem, count: int = 400):

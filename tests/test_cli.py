@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from wzbc.cli import main
@@ -11,7 +12,17 @@ from wzbc.gaussian import (
     choose_refinement_receiver,
     gaussian_cds,
     gaussian_lds_closed_form,
+    gaussian_lds_dc_range,
+    gaussian_lds_distortions,
+    gaussian_scheme3_rates,
 )
+
+from test_gaussian import (
+    reference_lds_closed_form,
+    reference_parametric_cloud,
+    reference_scheme3_closed_form,
+)
+from test_optimize import reference_envelope_indices
 
 GAUSSIAN = {"kind": "gaussian", "P": 1.0, "W": [1.0, 0.5], "N": [0.8, 0.4], "kappa": "1"}
 BINARY = {"kind": "binary", "p": [0.05, 0.1], "beta": [0.2, 0.1], "kappa": "1"}
@@ -127,6 +138,65 @@ def test_compare_extend_flat(tmp_path):
     # flat continuation reaches D_c = N_c with D_r pinned at the refinement floor
     assert rows[-1][0] == pytest.approx(0.3, abs=1e-12)
     assert rows[-1][1] == pytest.approx(0.3, abs=1e-12)  # 0.9 * 0.5 / 1.5
+
+
+def _expected_data_lines(rows):
+    return [f"{float(d1):.17g},{float(d2):.17g}\n" for d1, d2 in rows]
+
+
+def _receiver_pair(assign, d_c, d_r):
+    return (d_c, d_r) if assign.c == 0 else (d_r, d_c)
+
+
+@pytest.mark.parametrize(
+    "data, kappa",
+    [
+        (GAUSSIAN, "1/2"),
+        ({"kind": "gaussian", "P": 1.0, "W": [2.0, 0.5], "N": [0.3, 0.9], "kappa": "1"}, "1/2"),
+        ({"kind": "gaussian", "P": 1.0, "W": [2.0, 0.5], "N": [0.3, 0.9], "kappa": "1"}, "1"),
+        (GAUSSIAN, "1"),
+    ],
+)
+def test_compare_gaussian_rows_equal_reference_construction(tmp_path, data, kappa):
+    # lds and scheme3 rows at resolution 301 against the full-grid reference
+    # cloud, the envelope without the sampled prefilter and scalar loops
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({**data, "kappa": kappa}))
+    out = tmp_path / "out"
+    argv = ["compare", "--problem", str(path), "--schemes", "lds,scheme3",
+            "--resolution", "301", "--out", str(out)]
+    if kappa == "1":
+        argv.append("--extend-flat")
+    assert main(argv) == 0
+    problem = load_problem(str(path))
+    assign = choose_refinement_receiver(problem)
+    n_c = problem.sideinfo_vars[assign.c]
+    if kappa == "1":
+        dmin, _ = gaussian_lds_dc_range(problem, assign)
+        lds = [
+            _receiver_pair(assign, d, reference_lds_closed_form(problem, assign, d, True))
+            for d in np.linspace(dmin, n_c, 301)
+        ]
+        w_c = problem.noise_vars[assign.c]
+        scheme3 = [
+            _receiver_pair(assign, d, reference_scheme3_closed_form(problem, assign, d))
+            for d in np.linspace(n_c * w_c / (problem.power + w_c), n_c, 301)
+        ]
+    else:
+        cloud = reference_parametric_cloud(problem, assign, 301, 301)
+        keep = reference_envelope_indices(cloud["d_c"], cloud["d_r"])
+        lds = [_receiver_pair(assign, cloud["d_c"][i], cloud["d_r"][i]) for i in keep]
+        scheme3 = [
+            gaussian_lds_distortions(
+                problem, assign, gaussian_scheme3_rates(problem, assign, nu)
+            ).D
+            for nu in np.linspace(0.0, 1.0, 301)
+        ]
+    for name, rows in (("lds", lds), ("scheme3", sorted(scheme3))):
+        lines = open(out / f"{name}.csv").readlines()
+        assert lines[2:] == _expected_data_lines(rows), name
+    if kappa == "1":
+        assert lds[-1][assign.c] == n_c  # the flat continuation reaches N_c
 
 
 def test_point_lds_full_power_equals_cds(gaussian_file, capsys):

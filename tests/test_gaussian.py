@@ -16,6 +16,7 @@ from wzbc.gaussian import (
     gaussian_lds_dc_range,
     gaussian_lds_distortions,
     gaussian_scheme3_closed_form,
+    gaussian_scheme3_curve,
     gaussian_scheme3_rates,
     gaussian_separate_closed_form,
     gaussian_separate_feasible,
@@ -393,3 +394,216 @@ def test_all_schemes_dominate_trivial_converse():
             points.append(tuple(pair))
         for d1, d2 in points:
             assert d1 >= conv[0] - 1e-12 and d2 >= conv[1] - 1e-12
+
+
+def reference_parametric_cloud(
+    problem, assign, nu_count=400, gamma_count=400, gamma_lo=-1.0, gamma_hi=2.0
+):
+    """The full-meshgrid evaluation that lds_parametric_cloud must reproduce bit
+    for bit: every formula on every cell, then one mask, then np.append of the
+    nu = 0 corner."""
+    P = problem.power
+    kappa = float(problem.kappa)
+    W_c, W_r = problem.noise_vars[assign.c], problem.noise_vars[assign.r]
+    N_c, N_r = problem.sideinfo_vars[assign.c], problem.sideinfo_vars[assign.r]
+    nu = np.linspace(0.0, 1.0, nu_count)
+    gamma = np.linspace(gamma_lo, gamma_hi, gamma_count)
+    NU, G = np.meshgrid(nu, gamma, indexing="ij")
+    nubar = 1.0 - NU
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dpc = np.where(NU > 0, G * G / (NU * P), np.inf)
+        dpc = np.where((NU == 0) & (G == 0), 0.0, dpc)
+        valid = np.isfinite(dpc)
+        denom_c = 1.0 + nubar * P * (dpc + (1.0 - G) ** 2 / W_c)
+        denom_r = 1.0 + nubar * P * (dpc + (1.0 - G) ** 2 / W_r)
+        r_cc = 0.5 * np.log2((1.0 + P / W_c) / denom_c)
+        r_cr = 0.5 * np.log2((1.0 + P / W_r) / denom_r)
+        r_rr = 0.5 * np.log2(denom_r)
+        valid &= (r_cc >= -1e-12) & (r_cr >= -1e-12)
+        r_cc = np.maximum(r_cc, 0.0)
+        r_cr = np.maximum(r_cr, 0.0)
+        r_rr = np.maximum(r_rr, 0.0)
+        phi = np.minimum(
+            (2.0 ** (2.0 * kappa * r_cc) - 1.0) / N_c,
+            (2.0 ** (2.0 * kappa * r_cr) - 1.0) / N_r,
+        )
+        d_c = N_c / (1.0 + N_c * phi)
+        d_r = N_r / (1.0 + N_r * phi) * 2.0 ** (-2.0 * kappa * r_rr)
+    keep = valid.ravel()
+    out = {
+        "d_c": d_c.ravel()[keep],
+        "d_r": d_r.ravel()[keep],
+        "nu": NU.ravel()[keep],
+        "gamma": G.ravel()[keep],
+    }
+    if not np.any(out["nu"] == 0.0):
+        corner_dr = N_r * 2.0 ** (-2.0 * kappa * gaussian_capacity(P, W_r))
+        out = {
+            "d_c": np.append(out["d_c"], N_c),
+            "d_r": np.append(out["d_r"], corner_dr),
+            "nu": np.append(out["nu"], 0.0),
+            "gamma": np.append(out["gamma"], 0.0),
+        }
+    return out
+
+
+def reference_lds_closed_form(problem, assign, D_c, extend_flat=False):
+    """The layered closed form in Python float arithmetic, one point per call."""
+    d_min, d_max = gaussian_lds_dc_range(problem, assign)
+    P = problem.power
+    W_c, W_r = problem.noise_vars[assign.c], problem.noise_vars[assign.r]
+    N_c, N_r = problem.sideinfo_vars[assign.c], problem.sideinfo_vars[assign.r]
+    D_c = float(D_c)
+    if extend_flat and d_max < N_c and d_max - 1e-12 < D_c <= N_c + 1e-12:
+        return gaussian_wz_distortion(N_r, gaussian_capacity(P, W_r))
+    assert d_min - 1e-12 <= D_c <= d_max + 1e-12
+    lead = N_r * N_c * N_c / (D_c * N_c + N_r * (N_c - D_c))
+    if W_c > W_r:
+        factor = W_r * D_c / ((W_r - W_c) * N_c + (P + W_c) * D_c)
+    else:
+        factor = W_c / (P + W_c)
+    return lead * factor
+
+
+def reference_scheme3_closed_form(problem, assign, D_c):
+    """The reversed-decoding closed form in Python float arithmetic."""
+    P = problem.power
+    W_c, W_r = problem.noise_vars[assign.c], problem.noise_vars[assign.r]
+    N_c, N_r = problem.sideinfo_vars[assign.c], problem.sideinfo_vars[assign.r]
+    D_c = float(D_c)
+    lead = N_r * W_r / (P + W_r)
+    num = D_c * N_c + (N_c * W_c / W_r) * (N_c - D_c)
+    den = D_c * N_c + N_r * (N_c - D_c)
+    return lead * num / den
+
+
+def reference_separate_closed_form(problem, D_b):
+    """The separate-coding closed form in Python float arithmetic."""
+    b, g = separate_coding_labels(problem)
+    P = problem.power
+    W_b, W_g = problem.noise_vars[b], problem.noise_vars[g]
+    N_b, N_g = problem.sideinfo_vars[b], problem.sideinfo_vars[g]
+    D_b = float(D_b)
+    denom_ch = (W_g - W_b) * N_b + (P + W_b) * D_b
+    if N_g <= N_b:
+        return (N_g * N_b * N_b * W_g * D_b) / ((D_b * N_b + N_g * (N_b - D_b)) * denom_ch)
+    alt = N_b * (N_g * W_g - (P + W_b) * D_b - N_b * (W_g - W_b)) / (N_g - N_b)
+    return N_g / denom_ch * max(W_g * D_b, alt)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# (nu_count, gamma_count, gamma_lo, gamma_hi, gamma grid holds 0)
+CLOUD_GRIDS = [
+    (400, 400, -1.0, 2.0, True),
+    (401, 401, -1.0, 2.0, False),
+    (120, 401, -1.0, 2.0, False),
+    (401, 121, -1.0, 2.0, True),
+    (200, 201, -0.5, 1.5, True),
+    (201, 200, -0.5, 1.5, False),
+]
+
+
+@pytest.mark.parametrize("kappa", ["1", "1/2", "2/3"])
+@pytest.mark.parametrize("grid", CLOUD_GRIDS, ids=lambda g: "x".join(map(str, g[:4])))
+@pytest.mark.parametrize("common", [1, 2])
+def test_parametric_cloud_equals_full_grid_reference_bitwise(kappa, grid, common):
+    nu_count, gamma_count, lo, hi, has_zero = grid
+    assert np.any(np.linspace(lo, hi, gamma_count) == 0.0) == has_zero
+    assign = RoleAssignment(common, 3 - common)
+    for base in (P_A, P_B):
+        problem = GaussianProblem(base.power, base.noise_vars, base.sideinfo_vars, kappa)
+        cloud = lds_parametric_cloud(problem, assign, nu_count, gamma_count, lo, hi)
+        ref = reference_parametric_cloud(problem, assign, nu_count, gamma_count, lo, hi)
+        assert set(cloud) == {"d_c", "d_r", "nu", "gamma"}
+        for key in ref:
+            assert same_bits(cloud[key], ref[key]), key
+        # the nu = 0 corner is a grid cell or the appended last point
+        assert has_zero or (cloud["nu"][-1], cloud["gamma"][-1]) == (0.0, 0.0)
+
+
+def test_closed_forms_accept_arrays_bitwise():
+    # an array call, a scalar loop and the Python float formula agree bit for
+    # bit, flat continuation included
+    rng = np.random.default_rng(41)
+    problems = [P_A, P_B] + [random_problem(rng) for _ in range(6)]
+    for problem in problems:
+        assign = choose_refinement_receiver(problem)
+        n_c = problem.sideinfo_vars[assign.c]
+        w_c = problem.noise_vars[assign.c]
+        b, _ = separate_coding_labels(problem)
+        n_b, w_b = problem.sideinfo_vars[b], problem.noise_vars[b]
+        dmin, dmax = gaussian_lds_dc_range(problem, assign)
+        cases = [
+            (lambda d, flat=flat: gaussian_lds_closed_form(problem, assign, d, flat),
+             lambda d, flat=flat: reference_lds_closed_form(problem, assign, d, flat),
+             np.linspace(dmin, top, 97))
+            for flat, top in ((False, dmax), (True, n_c))
+        ]
+        cases.append((
+            lambda d: gaussian_scheme3_closed_form(problem, assign, d),
+            lambda d: reference_scheme3_closed_form(problem, assign, d),
+            np.linspace(n_c * w_c / (problem.power + w_c), n_c, 97),
+        ))
+        floor_b = gaussian_wz_distortion(n_b, gaussian_capacity(problem.power, w_b))
+        cases.append((
+            lambda d: gaussian_separate_closed_form(problem, d),
+            lambda d: reference_separate_closed_form(problem, d),
+            np.linspace(floor_b, n_b, 97),
+        ))
+        for closed_form, reference, grid in cases:
+            expected = np.array([reference(d) for d in grid.tolist()])
+            assert same_bits(closed_form(grid), expected)
+            assert same_bits(np.array([closed_form(d) for d in grid.tolist()]), expected)
+
+
+def test_closed_forms_flat_region_and_scalar_type():
+    assign = choose_refinement_receiver(P_B)
+    dmin, dmax = gaussian_lds_dc_range(P_B, assign)
+    floor = gaussian_wz_distortion(0.9, gaussian_capacity(1, 0.5))
+    d_c = np.array([dmin, dmax, 0.26, 0.28, 0.3])
+    d_r = gaussian_lds_closed_form(P_B, assign, d_c, extend_flat=True)
+    assert d_r.shape == (5,)
+    assert list(d_r[2:]) == [floor] * 3  # every point past dmax is on the floor
+    for d in (0.2, np.float64(0.2), np.array(0.2)):
+        assert type(gaussian_lds_closed_form(P_B, assign, d)) is float
+        assert type(gaussian_scheme3_closed_form(P_B, assign, d)) is float
+        assert type(gaussian_separate_closed_form(P_B, d)) is float
+    assert type(gaussian_lds_closed_form(P_B, assign, 0.28, extend_flat=True)) is float
+
+
+def test_closed_forms_reject_one_element_out_of_domain():
+    assign = choose_refinement_receiver(P_A)
+    dmin, dmax = gaussian_lds_dc_range(P_A, assign)
+    d_c = np.linspace(dmin, dmax, 11)
+    for bad in (dmin - 1e-6, dmax + 1e-6):
+        probe = d_c.copy()
+        probe[5] = bad
+        with pytest.raises(ValueError, match=f"D_c = {bad} outside the closed-form domain"):
+            gaussian_lds_closed_form(P_A, assign, probe)
+    probe = d_c.copy()
+    probe[-1] = P_A.sideinfo_vars[assign.c] + 1e-6
+    with pytest.raises(ValueError, match="outside"):
+        gaussian_scheme3_closed_form(P_A, assign, probe)
+    with pytest.raises(ValueError, match="outside"):
+        gaussian_lds_closed_form(P_A, assign, probe, extend_flat=True)
+    with pytest.raises(ValueError, match="D_b = .* outside"):
+        gaussian_separate_closed_form(P_A, np.array([0.5, 0.05, 0.6]))
+
+
+@pytest.mark.parametrize("kappa", ["1", "1/2", "2/3"])
+@pytest.mark.parametrize("common", [1, 2])
+def test_scheme3_curve_equals_scalar_loop_bitwise(kappa, common):
+    assign = RoleAssignment(common, 3 - common)
+    for base in (P_A, P_B):
+        problem = GaussianProblem(base.power, base.noise_vars, base.sideinfo_vars, kappa)
+        d_c, d_r = gaussian_scheme3_curve(problem, assign, 101)
+        points = [
+            gaussian_lds_distortions(problem, assign, gaussian_scheme3_rates(problem, assign, nu))
+            for nu in np.linspace(0.0, 1.0, 101)
+        ]
+        assert same_bits(d_c, np.array([p.D[assign.c] for p in points]))
+        assert same_bits(d_r, np.array([p.D[assign.r] for p in points]))

@@ -13,6 +13,7 @@ from wzbc.gaussian import (
     gaussian_lds_closed_form,
     gaussian_lds_dc_range,
     gaussian_lds_distortions,
+    lds_parametric_cloud,
 )
 from wzbc.optimize import (
     GridAxis,
@@ -141,6 +142,72 @@ def test_envelope_prefilter_matches_plain_monotone_chain(points):
     x, y = xy[:, 0], xy[:, 1]
     keep = lower_envelope_indices(x, y)
     assert [(x[i], y[i]) for i in keep] == _reference_envelope(x, y)
+
+
+def reference_envelope_indices(x, y):
+    """lower_envelope_indices without the sampled-dominance prefilter: staircase
+    of every point (stable lexsort, strict running minimum), then the chain."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    order = np.lexsort((y, x))
+    ys = y[order]
+    stair = np.empty(ys.size, dtype=bool)
+    stair[0] = True
+    stair[1:] = ys[1:] < np.minimum.accumulate(ys)[:-1]
+    order = order[stair]
+    px = x[order].tolist()
+    py = y[order].tolist()
+    hull = []
+    for k in range(len(order)):
+        while len(hull) >= 2 and _cross(
+            px[hull[-2]], py[hull[-2]], px[hull[-1]], py[hull[-1]], px[k], py[k]
+        ) <= 0:
+            hull.pop()
+        hull.append(k)
+    return order[hull].tolist()
+
+
+@given(grid_point_sets)
+@settings(max_examples=300, deadline=None)
+def test_envelope_indices_match_reference_on_grid_sets(points):
+    xy = np.array(points, dtype=float) / 4.0
+    assert lower_envelope_indices(xy[:, 0], xy[:, 1]) == reference_envelope_indices(
+        xy[:, 0], xy[:, 1]
+    )
+
+
+@pytest.mark.parametrize("side", [9, 41])
+@pytest.mark.parametrize("size", [4, 5, 50, 300, 1000, 2000])
+def test_envelope_indices_match_reference_on_large_grid_sets(size, side):
+    # 1/4-step grid points, rich in duplicates, ties and collinear triples, at
+    # sizes that make the sample step isqrt(size) range from 2 to 44
+    rng = np.random.default_rng(size * side)
+    for _ in range(20):
+        x = rng.integers(0, side, size) / 4.0
+        y = rng.integers(0, side, size) / 4.0
+        assert lower_envelope_indices(x, y) == reference_envelope_indices(x, y)
+
+
+def test_envelope_indices_match_reference_on_parametric_cloud():
+    problem = GaussianProblem(1, (1, 0.5), (0.8, 0.4), kappa="1/2")
+    cloud = lds_parametric_cloud(problem, choose_refinement_receiver(problem), 200, 200)
+    keep = lower_envelope_indices(cloud["d_c"], cloud["d_r"])
+    assert keep == reference_envelope_indices(cloud["d_c"], cloud["d_r"])
+    assert len(keep) > 10
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 100, 2000])
+def test_envelope_indices_degenerate_sets_match_reference(size):
+    rng = np.random.default_rng(size)
+    same = np.full(size, 0.25)
+    column = rng.integers(0, 5, size) / 4.0
+    cases = [(same, same), (same, column), (column, same)]
+    for x, y in cases:
+        keep = lower_envelope_indices(x, y)
+        assert keep == reference_envelope_indices(x, y)
+        assert len(keep) == 1
+        # one point survives: the lowest index among the minima
+        assert keep[0] == int(np.flatnonzero((x == x.min()) & (y == y[x == x.min()].min()))[0])
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation failure, 2 usage error (including a
 WZBC_THREADS value that is not a positive integer).
+Each validate suite has one named tolerance, ``max-dev`` (``n-stderr`` for
+mc-uncoded), which ``--tolerance NAME=VALUE`` overrides; any other name, or a
+value that is not a finite number >= 0, is a usage error.
 CSV files carry "# key=value" comment headers and "D1,D2" data rows; output is
 byte-identical across runs for identical manifests and seeds.  The environment
 variable WZBC_THREADS caps worker threads for Monte Carlo batches.
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -40,13 +44,6 @@ from .optimize import lower_envelope_indices
 
 GAUSSIAN_SCHEMES = ("converse", "uncoded", "cds", "lds", "separate", "scheme3")
 BINARY_SCHEMES = ("converse", "uncoded", "cds", "lds", "separate")
-VALIDATE_SUITES = (
-    "gaussian-oracle",
-    "gaussian-ordering",
-    "binary-oracle",
-    "dmc-consistency",
-    "mc-uncoded",
-)
 
 
 class UsageError(Exception):
@@ -299,31 +296,27 @@ def _suite_binary_oracle(tol, seed):
 
 
 def _suite_dmc_consistency(tol, seed):
-    """Generic engine vs the binary closed forms on random parameters."""
+    """Generic engine vs the binary closed forms on random parameters.
+
+    The 100 draws form one batch, so each engine evaluation is one call.
+    """
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(100):
-        p_c, p_r, g_c, g_r = rng.uniform(0.01, 0.49, 4)
-        eng = lds_rate_triple(binary_superposition_inputs(p_c, p_r, 0.5, g_r, "uc"))
-        closed = bn.binary_lds_channel_rates(
-            p_c, p_r, bn.BinaryChannelParams(0.5, g_r, bn.TChoice.T_EQUALS_UC), 1
-        )
-        worst = max(
-            worst, *(abs(x - y) for x, y in zip(eng.as_tuple(), closed.as_tuple()))
-        )
-        eng2 = lds_rate_triple(binary_superposition_inputs(p_c, p_r, g_c, g_r, "xor"))
-        shared = wz_rate_kernel(g_c, g_r)
-        g = min(binary_convolution(g_c, g_r), 0.5)
-        raw = (
-            wz_rate_kernel(p_c, g) - shared,
-            wz_rate_kernel(p_r, g) - shared,
-            shared,
-        )
-        worst = max(worst, *(abs(x - y) for x, y in zip(eng2.as_tuple(), raw)))
-        inputs = binary_superposition_inputs(p_c, p_r, g_c, g_r, "uc")
-        s1 = scheme1_rate_triple(inputs)
-        l1 = lds_rate_triple(inputs)
-        worst = max(worst, *(abs(x - y) for x, y in zip(s1.as_tuple(), l1.as_tuple())))
+    p_c, p_r, g_c, g_r = rng.uniform(0.01, 0.49, (100, 4)).T
+    eng = lds_rate_triple(binary_superposition_inputs(p_c, p_r, 0.5, g_r, "uc"))
+    closed, _ = bn._channel_rate_table(p_c, p_r, 1, 0.5, g_r, bn.TChoice.T_EQUALS_UC)
+    eng2 = lds_rate_triple(binary_superposition_inputs(p_c, p_r, g_c, g_r, "xor"))
+    shared = wz_rate_kernel(g_c, g_r)
+    g = np.minimum(binary_convolution(g_c, g_r), 0.5)
+    raw = (
+        wz_rate_kernel(p_c, g) - shared,
+        wz_rate_kernel(p_r, g) - shared,
+        shared,
+    )
+    inputs = binary_superposition_inputs(p_c, p_r, g_c, g_r, "uc")
+    s1 = scheme1_rate_triple(inputs)
+    l1 = lds_rate_triple(inputs)
+    pairs = ((eng.as_tuple(), closed.T), (eng2.as_tuple(), raw), (s1.as_tuple(), l1.as_tuple()))
+    worst = max(float(np.max(np.abs(x - y))) for a, b in pairs for x, y in zip(a, b))
     return _report("dmc-consistency", worst < tol, f"max deviation {worst:.3e} (tol {tol:g})")
 
 
@@ -345,27 +338,36 @@ def _suite_mc_uncoded(n_stderr, seed):
     return _report("mc-uncoded", ok_g and ok_b, detail)
 
 
+# suite name -> (suite function, its tolerance name, default tolerance)
+VALIDATE_SUITES = {
+    "gaussian-oracle": (_suite_gaussian_oracle, "max-dev", 1e-4),
+    "gaussian-ordering": (_suite_gaussian_ordering, "max-dev", 1e-10),
+    "binary-oracle": (_suite_binary_oracle, "max-dev", 1e-3),
+    "dmc-consistency": (_suite_dmc_consistency, "max-dev", 1e-9),
+    "mc-uncoded": (_suite_mc_uncoded, "n-stderr", 4.0),
+}
+
+
 def cmd_validate(args) -> int:
-    tolerances = {}
-    for item in args.tolerance or []:
-        if "=" not in item:
-            raise UsageError(f"tolerance override must be NAME=VALUE, got {item!r}")
-        key, _, val = item.partition("=")
-        tolerances[key] = float(val)
     suite = args.suite
     if suite not in VALIDATE_SUITES:
         raise UsageError(f"unknown suite {suite!r}; known: {', '.join(VALIDATE_SUITES)}")
-    if suite == "gaussian-oracle":
-        ok = _suite_gaussian_oracle(tolerances.get("max-dev", 1e-4), args.seed)
-    elif suite == "gaussian-ordering":
-        ok = _suite_gaussian_ordering(tolerances.get("max-dev", 1e-10), args.seed)
-    elif suite == "binary-oracle":
-        ok = _suite_binary_oracle(tolerances.get("max-dev", 1e-3), args.seed)
-    elif suite == "dmc-consistency":
-        ok = _suite_dmc_consistency(tolerances.get("max-dev", 1e-9), args.seed)
-    else:
-        ok = _suite_mc_uncoded(tolerances.get("n-stderr", 4.0), args.seed)
-    return 0 if ok else 1
+    run, tol_name, tol = VALIDATE_SUITES[suite]
+    for item in args.tolerance or []:
+        key, sep, val = item.partition("=")
+        if not sep:
+            raise UsageError(f"tolerance override must be NAME=VALUE, got {item!r}")
+        if key != tol_name:
+            raise UsageError(
+                f"suite {suite} has no tolerance {key!r}; its tolerance is {tol_name}"
+            )
+        try:
+            tol = float(val)
+        except ValueError:
+            tol = math.nan
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise UsageError(f"tolerance {key} must be a finite number >= 0, got {val!r}")
+    return 0 if run(tol, args.seed) else 1
 
 
 def _parse_params(items):

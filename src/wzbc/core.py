@@ -221,7 +221,9 @@ class RoleAssignment:
 class RateTriple:
     """(R_cc, R_cr, R_rr): common layer to receiver c, common layer to
     receiver r, refinement layer to receiver r.  Units (per source symbol or
-    per channel use) are set by the producing operation."""
+    per channel use) are set by the producing operation.  The ``wzbc.dmc``
+    evaluators fill the fields with arrays for a batch; ``clamp`` is a policy
+    for scalar fields only."""
 
     R_cc: float
     R_cr: float

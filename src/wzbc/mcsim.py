@@ -136,8 +136,8 @@ def simulate_uncoded_binary(
             v = x ^ (rng.random(n) < p)
             y = x ^ (rng.random(n) < beta)
             xhat = v if use_channel else y
-            err = (xhat != x).astype(float)
-            return float(err.sum()), float(err.sum())  # err^2 == err for 0/1 values
+            errors = float(np.count_nonzero(xhat != x))  # exact: counts stay below 2**53
+            return errors, errors  # err^2 == err for 0/1 values
 
         mean, err = _reduce_batches(cfg, k, batch, threads)
         means.append(mean)

@@ -284,3 +284,58 @@ def test_malformed_thread_count_is_usage_error(monkeypatch, capsys, value):
     monkeypatch.setenv("WZBC_THREADS", value)
     assert main(["validate", "--suite", "mc-uncoded"]) == 2
     assert "WZBC_THREADS" in capsys.readouterr().err
+
+
+# printed lines of the scalar-loop engine and of the float-array error count,
+# which the batched engine and np.count_nonzero must reproduce
+DMC_LINES = {
+    1: "[PASS] dmc-consistency: max deviation 1.110e-15 (tol 1e-09)",
+    13: "[PASS] dmc-consistency: max deviation 8.882e-16 (tol 1e-09)",
+    42: "[PASS] dmc-consistency: max deviation 1.110e-15 (tol 1e-09)",
+}
+MC_LINES = {
+    13: "[PASS] mc-uncoded: gaussian (0.44405, 0.22201) vs (0.44444, 0.22222), "
+        "binary (0.04981, 0.10021) (threshold 4 stderr)",
+    42: "[PASS] mc-uncoded: gaussian (0.44559, 0.22176) vs (0.44444, 0.22222), "
+        "binary (0.04973, 0.09977) (threshold 4 stderr)",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DMC_LINES))
+def test_validate_dmc_printed_line_is_unchanged(capsys, seed):
+    assert main(["validate", "--suite", "dmc-consistency", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == DMC_LINES[seed] + "\n"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("seed", sorted(MC_LINES))
+def test_validate_mc_uncoded_printed_line_is_unchanged(monkeypatch, capsys, seed, threads):
+    monkeypatch.setenv("WZBC_THREADS", threads)
+    assert main(["validate", "--suite", "mc-uncoded", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == MC_LINES[seed] + "\n"
+
+
+@pytest.mark.parametrize(
+    "suite, item, message",
+    [
+        ("dmc-consistency", "max-deviation=0", "no tolerance 'max-deviation'"),
+        ("mc-uncoded", "max-dev=1", "no tolerance 'max-dev'; its tolerance is n-stderr"),
+        ("gaussian-oracle", "n-stderr=4", "no tolerance 'n-stderr'"),
+        ("dmc-consistency", "max-dev=nan", "finite number >= 0"),
+        ("dmc-consistency", "max-dev=inf", "finite number >= 0"),
+        ("dmc-consistency", "max-dev=-1e-3", "finite number >= 0"),
+        ("mc-uncoded", "n-stderr=-4", "finite number >= 0"),
+        ("mc-uncoded", "n-stderr=NaN", "finite number >= 0"),
+        ("dmc-consistency", "max-dev=abc", "finite number >= 0"),
+        ("dmc-consistency", "max-dev", "NAME=VALUE"),
+    ],
+)
+def test_validate_bad_tolerance_is_usage_error(capsys, suite, item, message):
+    assert main(["validate", "--suite", suite, "--tolerance", item]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # rejected before the suite runs
+    assert message in captured.err
+
+
+def test_validate_zero_tolerance_is_accepted():
+    assert main(["validate", "--suite", "dmc-consistency", "--tolerance", "max-dev=0"]) == 1

@@ -21,6 +21,8 @@ from wzbc.infotheory import (
     wz_rate_kernel,
 )
 
+from test_infotheory import reference_mutual_information
+
 
 def uniform_inputs(t_choice="uc", p_c=0.1, p_r=0.2, g_c=0.3, g_r=0.25, kappa=1):
     return binary_superposition_inputs(p_c, p_r, g_c, g_r, t_choice, kappa)
@@ -251,3 +253,150 @@ def test_factored_pmf_always_passes_markov_checks():
         lds_rate_triple(inputs)
         scheme2_rate_triple(inputs)
         scheme3_rate_triple(inputs)
+
+
+TRIPLES = (lds_rate_triple, scheme1_rate_triple, scheme2_rate_triple, scheme3_rate_triple)
+
+
+def engine_columns(inputs):
+    """Every rate the engine computes for one input: four triples and two bounds."""
+    cols = [x for f in TRIPLES for x in f(inputs).as_tuple()]
+    return cols + [cds_dpc_rate_bound(inputs, "c"), cds_dpc_rate_bound(inputs, "r")]
+
+
+def batch_draws():
+    rng = np.random.default_rng(17)
+    draws = rng.uniform(0.01, 0.49, (24, 4))
+    # gammas at 0 (an empty layer, zero cells in the pmf) and at 1/2
+    draws[:6, 2] = 0.0
+    draws[6:12, 3] = 0.0
+    draws[12:18, 2] = 0.5
+    draws[18:22, 3] = 0.5
+    draws[22, 2:] = (0.0, 0.5)
+    draws[23, 2:] = (0.5, 0.0)
+    return draws
+
+
+@pytest.mark.parametrize("t_choice", ["uc", "xor"])
+@pytest.mark.parametrize("kappa", [1, "1/2"])
+def test_batched_engine_equals_batch_of_one_bitwise(t_choice, kappa):
+    draws = batch_draws()
+    batched = engine_columns(binary_superposition_inputs(*draws.T, t_choice, kappa))
+    assert all(col.shape == (len(draws),) for col in batched)
+    for i, (p_c, p_r, g_c, g_r) in enumerate(draws):
+        single = engine_columns(binary_superposition_inputs(p_c, p_r, g_c, g_r, t_choice, kappa))
+        assert all(type(x) is float for x in single)
+        assert [col[i] for col in batched] == single
+
+
+@pytest.mark.parametrize("t_choice", ["uc", "xor"])
+def test_batched_engine_matches_scalar_reference_mi(t_choice):
+    draws = batch_draws()
+    inputs = binary_superposition_inputs(*draws.T, t_choice)
+    ext = extend_with_outputs(inputs)
+    triple = lds_rate_triple(inputs)
+    for i, (p_c, p_r, g_c, g_r) in enumerate(draws):
+        one = extend_with_outputs(binary_superposition_inputs(p_c, p_r, g_c, g_r, t_choice))
+        np.testing.assert_array_equal(ext.pmf[i], one.pmf)
+        i_t_ur = reference_mutual_information(one, ("T",), ("U_r",))
+        want = (
+            reference_mutual_information(one, ("T",), ("V_c",)) - i_t_ur,
+            reference_mutual_information(one, ("T",), ("V_r",)) - i_t_ur,
+            reference_mutual_information(one, ("U_r",), ("T", "V_r")),
+        )
+        for got, ref in zip(triple.as_tuple(), want):
+            assert abs(got[i] - ref) <= 1e-14
+
+
+def test_extend_with_outputs_broadcasts_channels_against_the_batch():
+    # an unbatched joint with a batch of channels, and a (3, 1) joint batch
+    # with a (4,) channel batch
+    p = np.array([0.05, 0.2, 0.35, 0.45])
+    ext = extend_with_outputs(binary_superposition_inputs(p, 0.2, 0.3, 0.25))
+    assert ext.batch_shape == (4,)
+    for i, p_c in enumerate(p):
+        one = extend_with_outputs(binary_superposition_inputs(p_c, 0.2, 0.3, 0.25))
+        np.testing.assert_array_equal(ext.pmf[i], one.pmf)
+    g = np.array([[0.1], [0.3], [0.5]])
+    triple = lds_rate_triple(binary_superposition_inputs(p, 0.2, g, 0.25, "xor"))
+    assert triple.R_cc.shape == (3, 4)
+    assert triple.R_rr[2, 1] == lds_rate_triple(
+        binary_superposition_inputs(p[1], 0.2, 0.5, 0.25, "xor")
+    ).R_rr
+
+
+def violating_pmf():
+    # T = U, but U is random given (U_c, U_r)
+    pmf = np.zeros((2, 2, 2, 2, 2))  # (T, U_c, U_r, U, S)
+    for uc in (0, 1):
+        for ur in (0, 1):
+            for u in (0, 1):
+                pmf[u, uc, ur, u, ur] += 0.25 * (0.3 if u == 0 else 0.7)
+    return pmf
+
+
+def test_one_markov_violation_fails_the_batch():
+    good = binary_superposition_inputs(0.1, 0.2, np.array([0.1, 0.2, 0.3]), 0.25).joint.pmf
+    pmf = np.concatenate([good, violating_pmf()[None]])
+    inputs = SchemeInputs(
+        JointDistribution(("T", "U_c", "U_r", "U", "S"), pmf), bsc_matrix(0.1), bsc_matrix(0.2)
+    )
+    alone = SchemeInputs(
+        JointDistribution(("T", "U_c", "U_r", "U", "S"), violating_pmf()),
+        bsc_matrix(0.1),
+        bsc_matrix(0.2),
+    )
+    with pytest.raises(MarkovChainViolation) as alone_err:
+        lds_rate_triple(alone)
+    with pytest.raises(MarkovChainViolation) as batch_err:
+        lds_rate_triple(inputs)
+    # the message names the worst element's value, the violator's own
+    assert str(batch_err.value) == str(alone_err.value)
+    lds_rate_triple(
+        SchemeInputs(JointDistribution(inputs.joint.names, good), bsc_matrix(0.1), bsc_matrix(0.2))
+    )
+
+
+def test_one_bad_batch_element_raises():
+    gammas = np.array([0.1, 0.2, 0.3, 0.4])
+    with pytest.raises(ValueError, match="non-finite"):
+        binary_superposition_inputs(0.1, 0.2, np.array([0.1, np.nan, 0.3]), 0.25)
+    with pytest.raises(ValueError, match="non-finite"):
+        binary_superposition_inputs(0.1, 0.2, 0.25, np.array([0.1, 0.2, np.nan]))
+    pmf = binary_superposition_inputs(0.1, 0.2, gammas, 0.25).joint.pmf.copy()
+    pmf[2, 0, 0, 0, 0, 0] += 1e-6
+    with pytest.raises(ValueError, match="sum"):
+        JointDistribution(("T", "U_c", "U_r", "U", "S"), pmf)
+    joint = binary_superposition_inputs(0.1, 0.2, gammas, 0.25).joint
+    channels = bsc_matrix(np.array([0.1, 0.2, 0.3, 0.4]))
+    bad_row = channels.copy()
+    bad_row[1, 0] = (0.5, 0.4)
+    nan_row = channels.copy()
+    nan_row[3, 1, 0] = np.nan
+    for bad in (bad_row, nan_row):
+        with pytest.raises(ValueError, match="pmfs"):
+            SchemeInputs(joint, bad, channels)
+        with pytest.raises(ValueError, match="pmfs"):
+            SchemeInputs(joint, channels, bad)
+    with pytest.raises(ValueError, match="broadcast"):
+        SchemeInputs(joint, bsc_matrix(np.array([0.1, 0.2, 0.3])), channels)
+
+
+def test_nan_parameters_are_rejected():
+    with pytest.raises(ValueError, match="non-finite"):
+        binary_superposition_inputs(0.1, 0.2, np.nan, 0.3)
+    with pytest.raises(ValueError, match="crossover"):
+        binary_superposition_inputs(np.nan, 0.2, 0.1, 0.3)
+    with pytest.raises(ValueError, match="crossover"):
+        bsc_matrix(np.array([0.1, np.nan]))
+    with pytest.raises(ValueError, match="crossover"):
+        bsc_matrix(1.5)
+
+
+def test_bsc_matrix_broadcasts():
+    p = np.array([[0.0, 0.1], [0.25, 1.0]])
+    m = bsc_matrix(p)
+    assert m.shape == (2, 2, 2, 2)
+    for idx in np.ndindex(2, 2):
+        np.testing.assert_array_equal(m[idx], bsc_matrix(float(p[idx])))
+    np.testing.assert_array_equal(bsc_matrix(0.1), [[0.9, 0.1], [0.1, 0.9]])

@@ -90,3 +90,22 @@ def test_convergence_rate():
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(samples=0)
+
+
+# estimates from the former float-array error sum; the integer count must
+# reproduce them bit for bit at every thread count
+BINARY_ESTIMATES = {
+    13: (("0x1.9806f262888b5p-5", "0x1.9a75cd0bb6ed6p-4"),
+         ("0x1.c83b3b306f25cp-13", "0x1.3addbe7506f65p-12")),
+    42: (("0x1.9767903211cb0p-5", "0x1.98a979e16d6dcp-4"),
+         ("0x1.c7e6c202a75c5p-13", "0x1.3a409bf917c15p-12")),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("seed", sorted(BINARY_ESTIMATES))
+def test_uncoded_binary_estimate_is_pinned(seed, threads):
+    est = simulate_uncoded_binary(BINARY, SimConfig(10**6, seed), threads)
+    mean, stderr = BINARY_ESTIMATES[seed]
+    assert tuple(m.hex() for m in est.mean) == mean
+    assert tuple(s.hex() for s in est.stderr) == stderr

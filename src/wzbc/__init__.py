@@ -2,7 +2,7 @@
 
 Library surface: problem types and schemes for the quadratic Gaussian and
 binary Hamming cases, a generic finite-alphabet rate-region engine, envelope
-and sweep utilities, and Monte Carlo validators.  The ``wzbc`` command-line
+utilities, and Monte Carlo validators.  The ``wzbc`` command-line
 tool wraps the library for curve generation and validation runs.
 """
 
@@ -63,7 +63,7 @@ from .dmc import (
     scheme2_rate_triple,
     scheme3_rate_triple,
 )
-from .optimize import GridAxis, GridSpec, lower_convex_envelope, pareto_merge, sweep
+from .optimize import lower_convex_envelope, pareto_merge
 from .mcsim import (
     MCEstimate,
     SimConfig,

@@ -19,13 +19,17 @@ The layered region is one table-driven pass per role assignment:
    channel tuple (t, gamma_c, gamma_r) on the gamma grid, from one array call
    of each kernel per auxiliary choice (``binary_lds_channel_rates`` is a
    one-cell call of the same kernel);
-2. prune -- flagged tuples (a materially negative rate) and tuples whose
-   triple is componentwise weakly dominated by another tuple's triple are
-   dropped; this is exact because feasibility and the best D_r are monotone
-   in all three rates;
-3. chunked search -- the refinement search runs over a tuple axis, a bounded
-   number of (tuple, q_c, alpha_c, alpha_r) cells at a time; every candidate
-   point is bounds-checked and each chunk is reduced to its envelope vertices;
+2. best tuple -- flagged tuples (a materially negative rate) are dropped.
+   The layer distortion is non-increasing in q and the largest grid q_r
+   within the refinement budget is non-decreasing in R_rr, so a
+   (q_c, alpha_c) cell needs only the admitting tuple (R_cc and R_cr fit)
+   with the largest R_rr: the first admitting tuple in a stable
+   R_rr-descending order, found by an argmax over bounded blocks of
+   (cell, tuple) pairs.  Dominated tuples are never chosen, so none are pruned;
+3. refinement -- for every cell with an admitting tuple each alpha_r takes the
+   largest grid q_r within the budget and the best alpha_r is kept, in one
+   pass over the (q_c, alpha_c, alpha_r) cells; every candidate point is
+   bounds-checked and reduced to its envelope vertices;
 4. envelope -- the lower convex envelope of the kept vertices of both role
    assignments (plus the zero-rate corners) is the region.
 
@@ -74,8 +78,8 @@ from .optimize import lower_envelope_indices
 FEAS_TOL = 1e-12
 # index slack when flooring a continuous q bound onto the grid, in grid units
 _IDX_EPS = 1e-9
-# cells per layered refinement-search chunk and per separate-sweep slab: bounds
-# the sweeps' working arrays to a few hundred kilobytes
+# (cell, tuple) pairs per layered best-tuple block and cells per separate-sweep
+# slab: bounds the sweeps' working arrays to a few hundred kilobytes
 _CHUNK_CELLS = 2**14
 
 
@@ -132,8 +136,14 @@ class BinaryChannelParams:
 
 
 def layer_distortion(q, alpha, beta):
-    """Distortion q * min(alpha, beta) + (1 - q) * beta of one description layer."""
-    return q * np.minimum(alpha, beta) + (1.0 - q) * beta
+    """Distortion q * min(alpha, beta) + (1 - q) * beta of one description layer.
+
+    Written as beta - q * (beta - min(alpha, beta)), which is non-increasing
+    in q in floating point as well (the product is monotone in q and the
+    difference is nonnegative), so a larger grid q never gives a larger
+    distortion.
+    """
+    return beta - q * (beta - np.minimum(alpha, beta))
 
 
 def binary_capacity(p: float) -> float:
@@ -310,95 +320,74 @@ def _lds_channel_table(p_c, p_r, kappa, resolution):
     )
 
 
-def _undominated(rates):
-    """Sorted row indices of rates not componentwise weakly dominated by
-    another row; of equal rows only the first is kept.
-
-    Rows are visited in decreasing lexicographic order, so every row that
-    dominates another is visited before it and checking against the rows kept
-    so far suffices.
-    """
-    order = np.lexsort((-rates[:, 2], -rates[:, 1], -rates[:, 0]))
-    front = np.empty_like(rates)
-    kept = []
-    for i in order:
-        if kept and np.all(front[: len(kept)] >= rates[i], axis=1).any():
-            continue
-        front[len(kept)] = rates[i]
-        kept.append(i)
-    return np.sort(np.asarray(kept, dtype=np.int64))
-
-
 def _lds_refinement_search(problem, assign, resolution, rates):
     """Envelope vertices of the refinement search over channel triples.
 
-    rates holds one unflagged channel triple per row.  For every
-    (tuple, q_c, alpha_c) whose common layer fits R_cc and R_cr, each alpha_r
-    takes the largest grid q_r within the refinement budget (which attains the
-    grid minimum of D_r for that alpha_r) and the best alpha_r is kept.  The
-    tuples are processed in chunks of at most _CHUNK_CELLS
-    (tuple, q_c, alpha_c, alpha_r) cells (one tuple when a single tuple is
-    larger); every candidate is bounds-checked and each chunk is reduced to
-    its envelope vertices.  Returns (D, idx): D is a (2, m) array of
-    receiver-order distortions and idx an (m, 5) array of grid indices
-    (tuple row, q_c, alpha_c, q_r, alpha_r).
+    rates holds one unflagged channel triple per row.  The layer distortion is
+    non-increasing in q and the largest grid q_r within the refinement budget
+    R_rr + q_c r(alpha_c, beta_r) is non-decreasing in R_rr, so of the tuples
+    whose R_cc and R_cr admit a (q_c, alpha_c) cell, one with the largest R_rr
+    attains the cell's best D_r.  Each cell therefore takes the first admitting
+    tuple in a stable R_rr-descending order, found by an argmax over blocks of
+    at most _CHUNK_CELLS (cell, tuple) pairs.  Then each alpha_r takes the
+    largest grid q_r within the budget (which attains the grid minimum of D_r
+    for that alpha_r) and the best alpha_r is kept.  Every candidate is
+    bounds-checked and the candidates are reduced to their envelope vertices.
+    Returns (D, idx): D is a (2, m) array of receiver-order distortions and
+    idx an (m, 5) array of grid indices (tuple row, q_c, alpha_c, q_r, alpha_r).
     """
     qs, alphas = _grids(resolution)
     res = qs.size
     beta_c = problem.sideinfo_crossovers[assign.c]
     beta_r = problem.sideinfo_crossovers[assign.r]
     r_r = wz_rate_kernel(alphas, beta_r)
-    src_c = np.outer(qs, wz_rate_kernel(alphas, beta_c))  # (q_c, alpha_c)
-    src_r = np.outer(qs, r_r)
+    src_c = np.outer(qs, wz_rate_kernel(alphas, beta_c)).ravel()  # (q_c, alpha_c)
+    src_r = np.outer(qs, r_r).ravel()
     dc_tab = layer_distortion(qs[:, None], alphas[None, :], beta_c)
     dr_tab = layer_distortion(qs[:, None], alphas[None, :], beta_r)
-    ar_axis = np.arange(res)
-    step = max(1, _CHUNK_CELLS // res**3)
-    kept_d, kept_idx = [], []
-    for start in range(0, len(rates), step):
-        chunk = rates[start : start + step]
-        cl_ok = (src_c <= chunk[:, 0, None, None] + FEAS_TOL) & (
-            src_r <= chunk[:, 1, None, None] + FEAS_TOL
-        )
-        t, qc, ac = np.nonzero(cl_ok)
-        if t.size == 0:
-            continue
-        budget = chunk[t, 2] + src_r[qc, ac]
-        # largest grid q_r within budget, per (row, alpha_r); in-place steps
-        # keep the chunk's working set small
-        with np.errstate(divide="ignore", invalid="ignore"):
-            qmax = budget[:, None] / r_r[None, :]
-        qmax[:, r_r <= 0.0] = 1.0
-        np.minimum(qmax, 1.0, out=qmax)
-        qmax *= res - 1
-        qmax += _IDX_EPS
-        qr_all = qmax.astype(np.int64)
-        del qmax
-        dr_cand = dr_tab[qr_all, ar_axis]
-        dr_cand[(qr_all < qc[:, None]) | (alphas > alphas[ac][:, None] + FEAS_TOL)] = np.inf
-        ar = np.argmin(dr_cand, axis=1)
-        rows = np.nonzero(np.isfinite(dr_cand[np.arange(t.size), ar]))[0]
-        if rows.size == 0:
-            continue
-        t, qc, ac, ar = t[rows], qc[rows], ac[rows], ar[rows]
-        qr = qr_all[rows, ar]
-        d = np.empty((2, rows.size))
-        d[assign.c] = dc_tab[qc, ac]
-        d[assign.r] = dr_tab[qr, ar]
-        require_within_bounds(problem, d)
-        keep = lower_envelope_indices(d[0], d[1])
-        kept_d.append(d[:, keep])
-        kept_idx.append(np.stack((t + start, qc, ac, qr, ar), axis=1)[keep])
-    if not kept_d:
-        return np.empty((2, 0)), np.empty((0, 5), dtype=np.int64)
-    return np.concatenate(kept_d, axis=1), np.concatenate(kept_idx)
+    order = np.argsort(-rates[:, 2], kind="stable")
+    cap_c = rates[order, 0] + FEAS_TOL
+    cap_r = rates[order, 1] + FEAS_TOL
+    first = np.empty(res * res, dtype=np.int64)  # position in order, -1 when none admits
+    step = max(1, _CHUNK_CELLS // order.size)
+    for start in range(0, res * res, step):
+        fits = src_c[start : start + step, None] <= cap_c
+        fits &= src_r[start : start + step, None] <= cap_r
+        pos = fits.argmax(axis=1)
+        first[start : start + step] = np.where(fits[np.arange(pos.size), pos], pos, -1)
+    cell = np.flatnonzero(first >= 0)
+    t = order[first[cell]]
+    qc, ac = np.divmod(cell, res)
+    budget = rates[t, 2] + src_r[cell]
+    # largest grid q_r within budget, per (cell, alpha_r); in-place steps keep
+    # the working set small
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qmax = budget[:, None] / r_r[None, :]
+    qmax[:, r_r <= 0.0] = 1.0
+    np.minimum(qmax, 1.0, out=qmax)
+    qmax *= res - 1
+    qmax += _IDX_EPS
+    qr_all = qmax.astype(np.int64)
+    del qmax
+    dr_cand = dr_tab[qr_all, np.arange(res)]
+    dr_cand[(qr_all < qc[:, None]) | (alphas > alphas[ac][:, None] + FEAS_TOL)] = np.inf
+    ar = np.argmin(dr_cand, axis=1)
+    rows = np.flatnonzero(np.isfinite(dr_cand[np.arange(cell.size), ar]))
+    t, qc, ac, ar = t[rows], qc[rows], ac[rows], ar[rows]
+    qr = qr_all[rows, ar]
+    d = np.empty((2, rows.size))
+    d[assign.c] = dc_tab[qc, ac]
+    d[assign.r] = dr_tab[qr, ar]
+    require_within_bounds(problem, d)
+    keep = lower_envelope_indices(d[0], d[1])
+    return d[:, keep], np.stack((t, qc, ac, qr, ar), axis=1)[keep]
 
 
 def _binary_lds_vertices(problem, assign, resolution):
     """Envelope vertices (receiver coordinates) contributed by one role assignment.
 
     The zero-rate corner comes first, then the vertices of the refinement
-    search over the unflagged, undominated channel tuples.
+    search over the unflagged channel tuples.
     """
     qs, alphas = _grids(resolution)
     roles = (assign.common_receiver, assign.refinement_receiver)
@@ -417,9 +406,8 @@ def _binary_lds_vertices(problem, assign, resolution):
         problem.crossovers[assign.c], problem.crossovers[assign.r], problem.kappa, resolution
     )
     # a materially negative common-layer bound admits no nonnegative source
-    # rate, so a flagged tuple is infeasible; a dominated tuple adds nothing
+    # rate, so a flagged tuple is infeasible
     tuples = np.nonzero(~clamped)[0]
-    tuples = tuples[_undominated(rates[tuples])]
     D, idx = _lds_refinement_search(problem, assign, resolution, rates[tuples])
     for (x, y), (row, qc, ac, qr, ar) in zip(D.T.tolist(), idx.tolist()):
         tup = tuples[row]

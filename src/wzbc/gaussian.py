@@ -132,6 +132,8 @@ class GaussianLdsParams:
     def __post_init__(self):
         if not 0.0 <= self.nu <= 1.0:
             raise ValueError(f"nu must lie in [0, 1], got {self.nu}")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
         if self.nu == 0.0 and self.gamma != 0.0:
             raise ValueError(
                 f"nu = 0 requires gamma = 0 (limit convention), got gamma = {self.gamma}"

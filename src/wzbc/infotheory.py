@@ -83,13 +83,14 @@ class JointDistribution:
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError(f"variable names must be unique, got {names}")
-        arr = np.array(pmf, dtype=float)
+        arr = np.asarray(pmf)  # an ndarray is checked before it is copied
         if arr.ndim < len(names):
             raise ValueError(
                 f"pmf has {arr.ndim} axes but {len(names)} variable names were given"
             )
         if arr.size > MAX_CELLS:
             raise ValueError(f"pmf has {arr.size} cells, exceeding the cap of {MAX_CELLS}")
+        arr = np.array(arr, dtype=float)
         if not np.isfinite(arr).all():
             raise ValueError("pmf has non-finite entries (NaN or infinity)")
         if (arr < -ZERO_MASS).any():

@@ -1,81 +1,12 @@
-"""Grid sweeps, lower convex envelopes, and Pareto merging of tradeoff curves."""
+"""Lower convex envelopes and Pareto merging of tradeoff curves."""
 
 from __future__ import annotations
 
-import itertools
-import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DistortionPoint, TradeoffCurve
-
-log = logging.getLogger(__name__)
-
-DEFAULT_CELL_CAP = 10**7
-
-
-@dataclass(frozen=True)
-class GridAxis:
-    name: str
-    lower: float
-    upper: float
-    count: int
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError(f"axis {self.name}: lower {self.lower} > upper {self.upper}")
-        if self.count < 1:
-            raise ValueError(f"axis {self.name}: count must be >= 1, got {self.count}")
-
-    def values(self) -> np.ndarray:
-        if self.count == 1:
-            return np.array([self.lower])
-        return np.linspace(self.lower, self.upper, self.count)
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    axes: tuple
-    cell_cap: int = DEFAULT_CELL_CAP
-
-    def __post_init__(self):
-        object.__setattr__(self, "axes", tuple(self.axes))
-        if self.cells > self.cell_cap:
-            raise ValueError(
-                f"grid has {self.cells} cells, exceeding the cap of {self.cell_cap}"
-            )
-
-    @property
-    def cells(self) -> int:
-        n = 1
-        for ax in self.axes:
-            n *= ax.count
-        return n
-
-    def __iter__(self):
-        """Yield one {axis name: value} dict per cell, last axis fastest."""
-        grids = [ax.values() for ax in self.axes]
-        names = [ax.name for ax in self.axes]
-        for combo in itertools.product(*grids):
-            yield dict(zip(names, combo))
-
-
-def sweep(grid: GridSpec, evaluator) -> list:
-    """Evaluate every grid cell, collecting the points the evaluator returns.
-
-    The evaluator maps a {name: value} dict to a DistortionPoint or None
-    (rejection).  Output order is deterministic (grid iteration order).
-    """
-    points = []
-    for cell in grid:
-        point = evaluator(cell)
-        if point is not None:
-            points.append(point)
-    if not points:
-        log.warning("sweep over %d cells produced no points", grid.cells)
-    return points
 
 
 def _staircase(x, y):

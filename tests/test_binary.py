@@ -7,6 +7,7 @@ from wzbc.core import (
     RoleAssignment,
     bad_good_labels,
     parse_kappa,
+    require_within_bounds,
 )
 from wzbc.binary import (
     BinaryChannelParams,
@@ -31,8 +32,8 @@ from wzbc.binary import (
     _separate_best_dg,
     _separate_caps,
     _separate_cells,
-    _undominated,
     FEAS_TOL,
+    _IDX_EPS,
     separate_coding_labels,
 )
 from wzbc.gaussian import separate_coding_labels as gaussian_separate_coding_labels
@@ -190,31 +191,125 @@ def test_channel_table_rows_equal_scalar_rates_bitwise(resolution, kappa):
             assert bool(flag) == want.clamped
 
 
+def reference_lds_refinement_search(problem, assign, resolution, rates):
+    """The layered refinement search as a walk over (tuple, q_c, alpha_c,
+    alpha_r) cubes, in chunks of at most 2**20 cells (one tuple when a tuple
+    alone is larger), each chunk reduced to its envelope vertices: the former
+    body of _lds_refinement_search, kept as the exactness oracle.  Returns the
+    (2, m) receiver-order distortions of the kept vertices."""
+    qs, alphas = _grids(resolution)
+    res = qs.size
+    beta_c = problem.sideinfo_crossovers[assign.c]
+    beta_r = problem.sideinfo_crossovers[assign.r]
+    r_r = wz_rate_kernel(alphas, beta_r)
+    src_c = np.outer(qs, wz_rate_kernel(alphas, beta_c))  # (q_c, alpha_c)
+    src_r = np.outer(qs, r_r)
+    dc_tab = layer_distortion(qs[:, None], alphas[None, :], beta_c)
+    dr_tab = layer_distortion(qs[:, None], alphas[None, :], beta_r)
+    step = max(1, 2**20 // res**3)
+    kept = []
+    for start in range(0, len(rates), step):
+        chunk = rates[start : start + step]
+        cl_ok = (src_c <= chunk[:, 0, None, None] + FEAS_TOL) & (
+            src_r <= chunk[:, 1, None, None] + FEAS_TOL
+        )
+        t, qc, ac = np.nonzero(cl_ok)
+        if t.size == 0:
+            continue
+        budget = chunk[t, 2] + src_r[qc, ac]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            qmax = budget[:, None] / r_r[None, :]
+        qmax[:, r_r <= 0.0] = 1.0
+        qr_all = (np.minimum(qmax, 1.0) * (res - 1) + _IDX_EPS).astype(np.int64)
+        dr_cand = dr_tab[qr_all, np.arange(res)]
+        dr_cand[(qr_all < qc[:, None]) | (alphas > alphas[ac][:, None] + FEAS_TOL)] = np.inf
+        ar = np.argmin(dr_cand, axis=1)
+        rows = np.nonzero(np.isfinite(dr_cand[np.arange(t.size), ar]))[0]
+        if rows.size == 0:
+            continue
+        qc, ac, ar = qc[rows], ac[rows], ar[rows]
+        d = np.empty((2, rows.size))
+        d[assign.c] = dc_tab[qc, ac]
+        d[assign.r] = dr_tab[qr_all[rows, ar], ar]
+        require_within_bounds(problem, d)
+        kept.append(d[:, lower_envelope_indices(d[0], d[1])])
+    return np.concatenate(kept, axis=1)
+
+
+def undominated_rows(rates):
+    """rates without the rows that another row weakly dominates componentwise
+    (of equal rows the first is kept): the tuple pruning that used to precede
+    the chunked refinement search."""
+    ge = np.all(rates[None, :, :] >= rates[:, None, :], axis=2)
+    gt = np.any(rates[None, :, :] > rates[:, None, :], axis=2)
+    earlier = np.tri(len(rates), k=-1, dtype=bool)
+    return rates[~(ge & (gt | earlier)).any(axis=1)]
+
+
+def envelope_hex(D):
+    return [(D[0][i].hex(), D[1][i].hex()) for i in lower_envelope_indices(D[0], D[1])]
+
+
+ASSIGNS = (RoleAssignment(1, 2), RoleAssignment(2, 1))
+# crossovers of both orders and a tie, side information of both orders and a tie
+LDS_PROBLEM_SET = [
+    ((p_1, p_2), sideinfo)
+    for p_1 in (0.01, 0.1, 0.3)
+    for p_2 in (0.05, 0.1, 0.25)
+    for sideinfo in ((0.2, 0.1), (0.1, 0.4), (0.25, 0.25))
+]
+
+
+def assert_search_equals_reference(problem, resolution):
+    for assign in ASSIGNS:
+        _, _, _, rates, clamped = _lds_channel_table(
+            problem.crossovers[assign.c], problem.crossovers[assign.r], problem.kappa, resolution
+        )
+        unflagged = rates[~clamped]
+        D, _ = _lds_refinement_search(problem, assign, resolution, unflagged)
+        want = reference_lds_refinement_search(
+            problem, assign, resolution, undominated_rows(unflagged)
+        )
+        assert envelope_hex(D) == envelope_hex(want), (problem, resolution, assign)
+
+
+@pytest.mark.parametrize("resolution", [11, 15, 21])
 @pytest.mark.parametrize("kappa", [1, "1/2"])
-@pytest.mark.parametrize("assign", [RoleAssignment(1, 2), RoleAssignment(2, 1)])
-def test_dominated_tuple_pruning_keeps_the_envelope(kappa, assign):
-    problem = BinaryProblem((0.05, 0.1), (0.2, 0.1), kappa=kappa)
-    res = 15
-    _, _, _, rates, clamped = _lds_channel_table(
-        problem.crossovers[assign.c], problem.crossovers[assign.r], kappa, res
-    )
-    unflagged = rates[~clamped]
-    kept = _undominated(unflagged)
-    # brute force: a row goes when another row is >= everywhere and differs
-    # somewhere, or equals it and comes first
-    ge = np.all(unflagged[None, :, :] >= unflagged[:, None, :], axis=2)
-    gt = np.any(unflagged[None, :, :] > unflagged[:, None, :], axis=2)
-    earlier = np.tri(len(unflagged), k=-1, dtype=bool)
-    dominated = (ge & (gt | earlier)).any(axis=1)
-    assert kept.tolist() == np.nonzero(~dominated)[0].tolist()
-    assert 0 < len(kept) < len(unflagged)
+def test_refinement_search_equals_chunked_reference(kappa, resolution):
+    for crossovers, sideinfo in LDS_PROBLEM_SET:
+        assert_search_equals_reference(BinaryProblem(crossovers, sideinfo, kappa=kappa), resolution)
 
-    def envelope(tuple_rates):
-        D, _ = _lds_refinement_search(problem, assign, res, tuple_rates)
-        keep = lower_envelope_indices(D[0], D[1])
-        return [(D[0][i], D[1][i]) for i in keep]
 
-    assert envelope(unflagged) == envelope(unflagged[kept])
+def test_refinement_search_equals_chunked_reference_on_fixture_at_41():
+    assert_search_equals_reference(PROBLEM, 41)
+
+
+@pytest.mark.parametrize("kappa", [1, "1/2"])
+def test_lds_vertices_carry_feasible_witnesses(kappa):
+    for crossovers, sideinfo in LDS_PROBLEM_SET:
+        problem = BinaryProblem(crossovers, sideinfo, kappa=kappa)
+        for assign in ASSIGNS:
+            beta_c = sideinfo[assign.c]
+            beta_r = sideinfo[assign.r]
+            for v in _binary_lds_vertices(problem, assign, 15):
+                p = v.params
+                assert p["assign"] == (assign.common_receiver, assign.refinement_receiver)
+                src = BinarySourceParams(p["q_c"], p["q_r"], p["alpha_c"], p["alpha_r"])
+                D = [None, None]
+                D[assign.c] = float(layer_distortion(src.q_c, src.alpha_c, beta_c))
+                D[assign.r] = float(layer_distortion(src.q_r, src.alpha_r, beta_r))
+                assert tuple(D) == v.D
+                if "t" not in p:  # the zero-rate corner needs no channel rate
+                    assert v.D == sideinfo
+                    continue
+                ch = BinaryChannelParams(p["gamma_c"], p["gamma_r"], TChoice(p["t"]))
+                channel = binary_lds_channel_rates(
+                    crossovers[assign.c], crossovers[assign.r], ch, kappa
+                )
+                assert not channel.clamped
+                source = binary_lds_source_rates(src, beta_c, beta_r)
+                for need, have in zip(source.as_tuple(), channel.as_tuple()):
+                    assert need <= have + FEAS_TOL
 
 
 def test_lds_pinned_subgrid_equals_cds_points():
@@ -491,6 +586,16 @@ def test_lds_envelope_below_separate_envelope():
     hi = min(lds.d1()[-1], sep.d1()[-1])
     xs = np.linspace(lo, hi, 21)
     assert np.all(envelope_value(lds, xs) <= envelope_value(sep, xs) + 1e-9)
+
+
+def test_layer_distortion_is_non_increasing_in_q_on_every_grid():
+    betas = np.linspace(0.0, 0.5, 101)[:, None, None]
+    for resolution in range(15, 122):
+        qs, alphas = _grids(resolution)
+        d = layer_distortion(qs[None, :, None], alphas[None, None, :], betas)
+        assert np.all(d[:, 1:, :] <= d[:, :-1, :])
+        # alpha >= beta: the description does not help, at any q
+        assert np.all(d == betas, where=alphas[None, None, :] >= betas)
 
 
 def test_layer_distortion_formula():

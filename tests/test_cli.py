@@ -220,6 +220,15 @@ def test_point_lds_interior_matches_closed_form(gaussian_file, capsys):
     assert d_r == pytest.approx(gaussian_lds_closed_form(problem, assign, d_c), abs=1e-12)
 
 
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+def test_point_lds_rejects_non_finite_gamma(gaussian_file, capsys, gamma):
+    assert main(["point", "--problem", gaussian_file, "--scheme", "lds",
+                 "--param", "nu=0.5", "--param", f"gamma={gamma}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gamma must be finite" in captured.err
+
+
 def test_point_uncoded_bandwidth_mismatch(tmp_path, capsys):
     data = dict(GAUSSIAN, kappa="2")
     path = tmp_path / "g3.json"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,8 +157,16 @@ def test_mutual_information_errors():
 
 
 def test_cell_cap():
-    with pytest.raises(ValueError, match="cap"):
-        JointDistribution(("A",), np.zeros(10**7 + 1))
+    # a read-only view of one float: the cap is checked before any copy
+    pmf = np.broadcast_to(0.0, (10**7 + 1,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap"):
+            JointDistribution(("A",), pmf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,3 @@
-import logging
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,12 +14,9 @@ from wzbc.gaussian import (
     lds_parametric_cloud,
 )
 from wzbc.optimize import (
-    GridAxis,
-    GridSpec,
     lower_convex_envelope,
     lower_envelope_indices,
     pareto_merge,
-    sweep,
 )
 
 
@@ -243,32 +238,6 @@ def test_pareto_merge_idempotent_and_dominating():
         pareto_merge([])
 
 
-def test_grid_spec_validation():
-    with pytest.raises(ValueError, match="cap"):
-        GridSpec(axes=(GridAxis("a", 0, 1, 10**5), GridAxis("b", 0, 1, 10**3)))
-    with pytest.raises(ValueError, match="count"):
-        GridAxis("a", 0, 1, 0)
-    with pytest.raises(ValueError, match="lower"):
-        GridAxis("a", 1, 0, 5)
-    grid = GridSpec(axes=(GridAxis("a", 0, 1, 3), GridAxis("b", 2, 2, 1)))
-    assert grid.cells == 3
-    assert list(grid) == [
-        {"a": 0.0, "b": 2.0},
-        {"a": 0.5, "b": 2.0},
-        {"a": 1.0, "b": 2.0},
-    ]
-
-
-def test_sweep_single_cell_and_rejections(caplog):
-    grid = GridSpec(axes=(GridAxis("x", 0.5, 0.5, 1),))
-    pts = sweep(grid, lambda cell: DistortionPoint(D=(cell["x"], 0.1), scheme="t"))
-    assert len(pts) == 1 and pts[0].D == (0.5, 0.1)
-    with caplog.at_level(logging.WARNING, logger="wzbc.optimize"):
-        empty = sweep(grid, lambda cell: None)
-    assert empty == []
-    assert any("no points" in rec.message for rec in caplog.records)
-
-
 def test_power_axis_sweep_matches_closed_form():
     # sweep the power split with the precoding parameter pinned to its
     # optimal branch value; the resulting curve must match the closed form
@@ -276,16 +245,13 @@ def test_power_axis_sweep_matches_closed_form():
     assign = choose_refinement_receiver(problem)
     gamma = 0.0 if problem.noise_vars[assign.c] > problem.noise_vars[assign.r] else 1.0
 
-    def evaluate(cell):
+    points = []
+    for nu in np.linspace(0.0, 1.0, 2001):
         rates = gaussian_lds_channel_rates(
-            problem, assign, GaussianLdsParams(cell["nu"], gamma if cell["nu"] > 0 else 0.0)
+            problem, assign, GaussianLdsParams(nu, gamma if nu > 0 else 0.0)
         )
-        if rates.clamped:
-            return None
-        return gaussian_lds_distortions(problem, assign, rates)
-
-    grid = GridSpec(axes=(GridAxis("nu", 0.0, 1.0, 2001),))
-    points = sweep(grid, evaluate)
+        if not rates.clamped:
+            points.append(gaussian_lds_distortions(problem, assign, rates))
     dmin, dmax = gaussian_lds_dc_range(problem, assign)
     worst = 0.0
     for p in points:

@@ -8,10 +8,12 @@ crossover beta is then q * min(alpha, beta) + (1 - q) * beta.
 The layered scheme constrains the common-layer description to be a degraded
 version of the refinement description (q_c <= q_r and alpha_c >= alpha_r);
 separate coding allows either degradation order of its two descriptions.
-Tradeoff regions are traced by exhaustive grid sweeps.  For fixed values of
-the remaining parameters the layered search selects the best grid value of
-its last q axis directly (the distortion is monotone in q and the rate
-constraint is linear in q, so this is exactly the grid minimum).
+Tradeoff regions are traced by grid sweeps over the parameters that trace the
+tradeoff; the q of the last description layer is not gridded.  The layer
+distortion is non-increasing in q and every rate constraint is linear in q, so
+for fixed values of the other parameters the best q is the largest one the
+constraints allow, min(1, budget / r(alpha, beta)), as in the point-to-point
+Wyner-Ziv problem.
 
 The layered region is one table-driven pass per role assignment:
 
@@ -20,41 +22,43 @@ The layered region is one table-driven pass per role assignment:
    of each kernel per auxiliary choice (``binary_lds_channel_rates`` is a
    one-cell call of the same kernel);
 2. best tuple -- flagged tuples (a materially negative rate) are dropped.
-   The layer distortion is non-increasing in q and the largest grid q_r
-   within the refinement budget is non-decreasing in R_rr, so a
-   (q_c, alpha_c) cell needs only the admitting tuple (R_cc and R_cr fit)
-   with the largest R_rr: the first admitting tuple in a stable
+   The largest q_r within the refinement budget is non-decreasing in R_rr,
+   so a (q_c, alpha_c) cell needs only the admitting tuple (R_cc and R_cr
+   fit) with the largest R_rr: the first admitting tuple in a stable
    R_rr-descending order, found by an argmax over bounded blocks of
    (cell, tuple) pairs.  Dominated tuples are never chosen, so none are pruned;
-3. refinement -- for every cell with an admitting tuple each alpha_r takes the
-   largest grid q_r within the budget and the best alpha_r is kept, in one
-   pass over the (q_c, alpha_c, alpha_r) cells; every candidate point is
-   bounds-checked and reduced to its envelope vertices;
+3. refinement -- for every cell with an admitting tuple each alpha_r <= alpha_c
+   takes the largest q_r within the budget, at least q_c, and the best
+   alpha_r is kept, in bounded blocks of (cell, alpha_r) pairs; every
+   candidate point is bounds-checked and reduced to its envelope vertices;
 4. envelope -- the lower convex envelope of the kept vertices of both role
    assignments (plus the zero-rate corners) is the region.
 
-The separate-coding region is one theta-batched pass.  Theta enters only
-through the bad-receiver cap kappa * (1 - H2(theta * p_b)) and the cumulative
-cap; the cumulative source rate and the degradation-order mask of a
-(q_b, alpha_b, alpha_g, q_g) cell do not depend on it.
+The separate-coding region is one pass over the (q_b, alpha_b) cells.  Theta
+enters only through the bad-receiver cap kappa * (1 - H2(theta * p_b)) and
+the cumulative cap, and for a fixed bad description the best good-receiver
+distortion never gets worse as the cumulative cap grows.
 
 1. caps -- both caps of every grid theta, from one array call of each kernel;
-2. rank -- each cell is evaluated once, in slabs of q_b rows of at most
-   _CHUNK_CELLS cells (one row when a row alone is larger), and ranked by the
-   first sorted cumulative cap that admits it; cells out of degradation order
-   get no rank;
-3. bucket minimum -- the minimum d_g per (q_b, alpha_b, rank) followed by a
-   prefix minimum over rank is the best d_g of every (theta, q_b, alpha_b);
-   the bad-receiver cap is then a mask.  These are the comparisons of a
-   per-theta loop on the same floats, so the result is exact;
-4. envelope -- every per-theta candidate set is bounds-checked and reduced to
-   its envelope vertices, the region is the envelope of those, and
-   (q_g, alpha_g) is recovered only for the region's vertices.
+2. theta -- each (q_b, alpha_b) cell keeps, of the thetas whose bad cap admits
+   its rate, the one with the largest cumulative cap (a stable sort of theta
+   by bad cap, a prefix argmax of the cumulative cap and a searchsorted);
+3. good description -- each alpha_g takes the largest q_g whose cumulative
+   rate fits that cap, put in degradation order with the bad description,
+   and the alpha_g with the smallest d_g is kept, in bounded blocks of
+   (cell, alpha_g) pairs;
+4. envelope -- the candidate points are bounds-checked once and reduced to
+   their envelope vertices.
+
+q values come from the caps without the FEAS_TOL slack, which only widens the
+admit tests, so every vertex's parameters satisfy its rate constraints within
+FEAS_TOL.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,10 +80,9 @@ from .infotheory import binary_convolution, binary_entropy, wz_rate_kernel
 from .optimize import lower_envelope_indices
 
 FEAS_TOL = 1e-12
-# index slack when flooring a continuous q bound onto the grid, in grid units
-_IDX_EPS = 1e-9
-# (cell, tuple) pairs per layered best-tuple block and cells per separate-sweep
-# slab: bounds the sweeps' working arrays to a few hundred kilobytes
+# pairs per block of the layered best-tuple query ((cell, tuple) pairs) and of
+# the last-layer alpha passes ((cell, alpha) pairs): bounds the sweeps' working
+# arrays to a few hundred kilobytes
 _CHUNK_CELLS = 2**14
 
 
@@ -151,35 +154,68 @@ def binary_capacity(p: float) -> float:
     return 1.0 - binary_entropy(p)
 
 
-def binary_wz_distortion(beta: float, R: float, grid_resolution: int = 2001) -> float:
-    """Point-to-point distortion-rate value with side information.
+def _h2(x: float) -> float:
+    """Binary entropy in bits, in plain floats (0 at the endpoints)."""
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x) if 0.0 < x < 1.0 else 0.0
 
-    Minimizes q * alpha + (1 - q) * beta over gridded alpha in [0, beta] with
-    q * r(alpha, beta) <= R; for each alpha the optimal q = min(1, R / r) is
-    computed analytically rather than gridded.
+
+def _bisect(f, lo: float, hi: float) -> tuple:
+    """Bracket [lo, hi] of the sign change of an increasing f (f < 0 below it),
+    halved until its midpoint no longer lies strictly inside."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo, hi
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def binary_wz_distortion(beta: float, R: float) -> float:
+    """Point-to-point Wyner-Ziv distortion-rate value of a binary source.
+
+    The rate-distortion function is the lower convex envelope of
+    g(d) = r(d, beta) = H2(beta * d) - H2(d) on [0, beta] and the point
+    (beta, 0).  Its tangent point d_t from (beta, 0) is where
+    g'(d)(beta - d) + g(d) changes sign.  Below g(d_t) the value lies on the
+    tangent, beta - R (beta - d_t) / g(d_t) (time sharing between d_t and no
+    description); from g(d_t) up to H2(beta) it is the saturation point
+    g(d) = R, and above that it is 0.  Both points are found by bisection in
+    plain floats until the bracket stops shrinking.
     """
     if not 0.0 <= beta <= 0.5:
         raise ValueError(f"beta must lie in [0, 1/2], got {beta}")
-    if R < 0:
+    if not R >= 0.0:  # NaN fails too
         raise ValueError(f"rate must be nonnegative, got {R}")
-    if grid_resolution < 2:
-        raise ValueError(f"grid_resolution must be >= 2, got {grid_resolution}")
-    if beta == 0.0:
+    if R == 0.0:
+        return beta
+    if beta == 0.0 or R >= _h2(beta):
         return 0.0
-    alphas = np.linspace(0.0, beta, grid_resolution)
-    rates = wz_rate_kernel(alphas, beta)
-    q = np.where(rates > 0.0, np.minimum(1.0, R / np.where(rates > 0.0, rates, 1.0)), 1.0)
-    d = q * alphas + (1.0 - q) * beta
-    return float(d.min())
+    k = 1.0 - 2.0 * beta
+
+    def g(d):
+        return _h2(beta + k * d) - _h2(d)
+
+    def tangent_sign(d):
+        c = beta + k * d
+        slope = k * math.log2((1.0 - c) / c) - math.log2((1.0 - d) / d)
+        return slope * (beta - d) + g(d)
+
+    d_t = _bisect(tangent_sign, 0.0, beta)[1]
+    g_t = g(d_t)
+    if R < g_t:
+        return beta - R * ((beta - d_t) / g_t)
+    return _bisect(lambda d: R - g(d), 0.0, d_t)[1]
 
 
-def binary_trivial_converse(problem: BinaryProblem, grid_resolution: int = 2001) -> tuple:
+def binary_trivial_converse(problem: BinaryProblem) -> tuple:
     """Per-receiver lower bounds from the point-to-point distortion-rate value
     at rate kappa * (1 - H2(p_k))."""
     validate_problem(problem)
     kappa = float(problem.kappa)
     return tuple(
-        binary_wz_distortion(b, kappa * binary_capacity(p), grid_resolution)
+        binary_wz_distortion(b, kappa * binary_capacity(p))
         for p, b in zip(problem.crossovers, problem.sideinfo_crossovers)
     )
 
@@ -323,18 +359,21 @@ def _lds_channel_table(p_c, p_r, kappa, resolution):
 def _lds_refinement_search(problem, assign, resolution, rates):
     """Envelope vertices of the refinement search over channel triples.
 
-    rates holds one unflagged channel triple per row.  The layer distortion is
-    non-increasing in q and the largest grid q_r within the refinement budget
-    R_rr + q_c r(alpha_c, beta_r) is non-decreasing in R_rr, so of the tuples
-    whose R_cc and R_cr admit a (q_c, alpha_c) cell, one with the largest R_rr
-    attains the cell's best D_r.  Each cell therefore takes the first admitting
-    tuple in a stable R_rr-descending order, found by an argmax over blocks of
-    at most _CHUNK_CELLS (cell, tuple) pairs.  Then each alpha_r takes the
-    largest grid q_r within the budget (which attains the grid minimum of D_r
-    for that alpha_r) and the best alpha_r is kept.  Every candidate is
-    bounds-checked and the candidates are reduced to their envelope vertices.
-    Returns (D, idx): D is a (2, m) array of receiver-order distortions and
-    idx an (m, 5) array of grid indices (tuple row, q_c, alpha_c, q_r, alpha_r).
+    rates holds one unflagged channel triple per row.  For a (q_c, alpha_c)
+    cell and an alpha_r <= alpha_c the best q_r is the largest one within the
+    refinement budget R_rr + q_c r(alpha_c, beta_r), q_r = min(1, budget /
+    r(alpha_r, beta_r)), and it must be at least q_c: the pair is admitted
+    when q_c r(alpha_r, beta_r) fits the budget within FEAS_TOL, and q_r is
+    then raised to q_c.  The layer distortion is non-increasing in q_r and q_r
+    in the budget, so of the tuples whose R_cc and R_cr admit a cell, one with
+    the largest R_rr attains the cell's best D_r.  Each cell therefore takes
+    the first admitting tuple in a stable R_rr-descending order, found by an
+    argmax over blocks of at most _CHUNK_CELLS (cell, tuple) pairs.  Then the
+    best alpha_r of every cell is taken over blocks of at most _CHUNK_CELLS
+    (cell, alpha_r) pairs.  Every candidate is bounds-checked and the
+    candidates are reduced to their envelope vertices.  Returns (D, idx, q_r):
+    D is a (2, m) array of receiver-order distortions, idx an (m, 4) array of
+    indices (tuple row, q_c, alpha_c, alpha_r) and q_r the m refinement q values.
     """
     qs, alphas = _grids(resolution)
     res = qs.size
@@ -343,8 +382,6 @@ def _lds_refinement_search(problem, assign, resolution, rates):
     r_r = wz_rate_kernel(alphas, beta_r)
     src_c = np.outer(qs, wz_rate_kernel(alphas, beta_c)).ravel()  # (q_c, alpha_c)
     src_r = np.outer(qs, r_r).ravel()
-    dc_tab = layer_distortion(qs[:, None], alphas[None, :], beta_c)
-    dr_tab = layer_distortion(qs[:, None], alphas[None, :], beta_r)
     order = np.argsort(-rates[:, 2], kind="stable")
     cap_c = rates[order, 0] + FEAS_TOL
     cap_r = rates[order, 1] + FEAS_TOL
@@ -359,28 +396,28 @@ def _lds_refinement_search(problem, assign, resolution, rates):
     t = order[first[cell]]
     qc, ac = np.divmod(cell, res)
     budget = rates[t, 2] + src_r[cell]
-    # largest grid q_r within budget, per (cell, alpha_r); in-place steps keep
-    # the working set small
-    with np.errstate(divide="ignore", invalid="ignore"):
-        qmax = budget[:, None] / r_r[None, :]
-    qmax[:, r_r <= 0.0] = 1.0
-    np.minimum(qmax, 1.0, out=qmax)
-    qmax *= res - 1
-    qmax += _IDX_EPS
-    qr_all = qmax.astype(np.int64)
-    del qmax
-    dr_cand = dr_tab[qr_all, np.arange(res)]
-    dr_cand[(qr_all < qc[:, None]) | (alphas > alphas[ac][:, None] + FEAS_TOL)] = np.inf
-    ar = np.argmin(dr_cand, axis=1)
-    rows = np.flatnonzero(np.isfinite(dr_cand[np.arange(cell.size), ar]))
-    t, qc, ac, ar = t[rows], qc[rows], ac[rows], ar[rows]
-    qr = qr_all[rows, ar]
-    d = np.empty((2, rows.size))
-    d[assign.c] = dc_tab[qc, ac]
-    d[assign.r] = dr_tab[qr, ar]
+    gain = beta_r - np.minimum(alphas, beta_r)  # D_r = beta_r - q_r * gain
+    described = r_r > 0.0  # alpha_r < beta_r: q_r is bounded by the budget
+    ar = np.empty(cell.size, dtype=np.int64)
+    qr = np.empty(cell.size)
+    step = max(1, _CHUNK_CELLS // res)
+    for start in range(0, cell.size, step):
+        blk = slice(start, start + step)
+        b = budget[blk, None]
+        q_c = qs[qc[blk], None]
+        q = np.ones((b.shape[0], res))
+        q[:, described] = np.minimum(b / r_r[described], 1.0)
+        admit = (q_c * r_r <= b + FEAS_TOL) & (np.arange(res) <= ac[blk, None])
+        np.maximum(q, q_c, out=q)
+        best = np.where(admit, q * gain, -np.inf).argmax(axis=1)
+        ar[blk] = best
+        qr[blk] = q[np.arange(best.size), best]
+    d = np.empty((2, cell.size))
+    d[assign.c] = layer_distortion(qs[qc], alphas[ac], beta_c)
+    d[assign.r] = layer_distortion(qr, alphas[ar], beta_r)
     require_within_bounds(problem, d)
     keep = lower_envelope_indices(d[0], d[1])
-    return d[:, keep], np.stack((t, qc, ac, qr, ar), axis=1)[keep]
+    return d[:, keep], np.stack((t, qc, ac, ar), axis=1)[keep], qr[keep]
 
 
 def _binary_lds_vertices(problem, assign, resolution):
@@ -408,8 +445,8 @@ def _binary_lds_vertices(problem, assign, resolution):
     # a materially negative common-layer bound admits no nonnegative source
     # rate, so a flagged tuple is infeasible
     tuples = np.nonzero(~clamped)[0]
-    D, idx = _lds_refinement_search(problem, assign, resolution, rates[tuples])
-    for (x, y), (row, qc, ac, qr, ar) in zip(D.T.tolist(), idx.tolist()):
+    D, idx, q_r = _lds_refinement_search(problem, assign, resolution, rates[tuples])
+    for (x, y), (row, qc, ac, ar), qr in zip(D.T.tolist(), idx.tolist(), q_r.tolist()):
         tup = tuples[row]
         params = {
             "assign": roles,
@@ -418,7 +455,7 @@ def _binary_lds_vertices(problem, assign, resolution):
             "gamma_r": float(gamma_r[tup]),
             "q_c": float(qs[qc]),
             "alpha_c": float(alphas[ac]),
-            "q_r": float(qs[qr]),
+            "q_r": qr,
             "alpha_r": float(alphas[ar]),
         }
         vertices.append(DistortionPoint(D=(x, y), scheme="lds", params=params))
@@ -497,88 +534,70 @@ def _separate_caps(p_b, p_g, kappa, thetas):
     return cap_b, cap_tot
 
 
-def _separate_cells(qs, alphas, r_bb, r_bg, good_first, q_b):
-    """Cumulative source rate and degradation-order mask of separate coding.
+def _separate_best_theta(cap_b, cap_tot, need):
+    """Theta index with the largest cumulative cap among those whose bad cap
+    admits each bad-description rate in need (-1 when none admits it).
 
-    q_b is a slab of bad-description q values.  Both returned arrays have
-    shape (len(q_b), alpha_b, alpha_g * q_g), q_g fastest.  The cumulative
-    source rate is q_b r(alpha_b, beta_b) + (q_g r(alpha_g, beta_g) -
-    q_b r(alpha_b, beta_g))^+ when the good receiver has the better side
-    information and q_g r(alpha_g, beta_g) + (q_b r(alpha_b, beta_b) -
-    q_g r(alpha_g, beta_b))^+ otherwise.  The mask admits either degradation
-    order of the two descriptions.
+    The thetas are stably sorted by admitting threshold cap_b + FEAS_TOL,
+    largest first, so the thetas admitting a rate are a prefix of that order
+    whose length a searchsorted finds; a prefix argmax of cap_tot (first
+    attaining position) then names the best of them.
     """
-    res = qs.size
-    q_g = np.tile(qs, res)
-    a_g = np.repeat(alphas, res)
-    q_b = q_b[:, None, None]
-    a_b = alphas[:, None]
-    S = q_b * r_bb[:, None]
+    thr = cap_b + FEAS_TOL
+    order = np.argsort(-thr, kind="stable")
+    cap = cap_tot[order]
+    record = np.empty(cap.size, dtype=bool)
+    record[0] = True
+    record[1:] = cap[1:] > np.maximum.accumulate(cap)[:-1]
+    best = order[np.maximum.accumulate(np.where(record, np.arange(cap.size), 0))]
+    count = np.searchsorted(-thr[order], -need, side="right")
+    return np.where(count > 0, best[count - 1], -1)
+
+
+def _separate_good_q(T, S, E, q_b, ab, r_gg, r_gb, good_first):
+    """Largest good-description q_g per (cell, alpha_g), NaN out of order.
+
+    T, S, E, q_b and ab are (n, 1) columns per (q_b, alpha_b) cell: the
+    cumulative cap, the bad-description rate q_b r(alpha_b, beta_b), its rate
+    q_b r(alpha_b, beta_g) at the good receiver, q_b and the alpha_b grid
+    index; r_gg and r_gb are r(alpha_g, beta_g) and r(alpha_g, beta_b) on the
+    alpha grid.  When the good receiver has the better side information the
+    cumulative rate S + (q_g r_gg - E)^+ fits T when q_g r_gg <= T - S + E;
+    otherwise q_g r_gg + (S - q_g r_gb)^+ fits T when q_g r_gg <= T and
+    q_g (r_gg - r_gb) <= T - S.  q_g is then clipped to [0, 1] and put in
+    degradation order with the bad description: q_g <= q_b when
+    alpha_g > alpha_b, and when alpha_g < alpha_b the pair is admitted only
+    if q_g >= q_b - FEAS_TOL, with q_g raised to q_b.
+    """
+    described = r_gg > 0.0  # alpha_g < beta_g: q_g is bounded by the caps
+    q = np.ones(np.broadcast_shapes(T.shape, r_gg.shape))
+    r = r_gg[described]
     if good_first:
-        lhs = q_g * np.repeat(r_bg, res) - q_b * r_bg[:, None]
-        np.maximum(0.0, lhs, out=lhs)
-        lhs += S
+        q[:, described] = (T - S + E) / r
     else:
-        lhs = S - q_g * np.repeat(r_bb, res)
-        np.maximum(0.0, lhs, out=lhs)
-        lhs += q_g * np.repeat(r_bg, res)
-    order = ((q_b <= q_g + FEAS_TOL) & (a_b >= a_g - FEAS_TOL)) | (
-        (q_g <= q_b + FEAS_TOL) & (a_g >= a_b - FEAS_TOL)
-    )
-    return lhs, order
-
-
-def _separate_best_dg(qs, alphas, r_bb, r_bg, good_first, d_g_tab, thresholds):
-    """Best good-receiver distortion per (threshold, q_b, alpha_b).
-
-    Entry [k, i, j] is the minimum of d_g over the (alpha_g, q_g) cells in
-    degradation order with (qs[i], alphas[j]) whose cumulative source rate is
-    at most thresholds[k] (inf when there is none).  Each cell is compared
-    with the sorted thresholds once (its rank is the first threshold that
-    admits it), the bucket minimum of d_g is taken per (q_b, alpha_b, rank),
-    and a prefix minimum over rank gives every threshold at once.  The q_b
-    axis is walked in slabs of at most _CHUNK_CELLS cells (one q_b row when a
-    row alone is larger).
-    """
-    res = qs.size
-    n = len(thresholds)
-    cells = res * res
-    ranked = np.argsort(thresholds, kind="stable")
-    sorted_thr = thresholds[ranked]
-    d_g = d_g_tab.T.ravel()  # (alpha_g, q_g), q_g fastest
-    best = np.full(res * res * n, np.inf)  # (q_b, alpha_b, rank)
-    step = max(1, _CHUNK_CELLS // res**3)
-    for start in range(0, res, step):
-        lhs, admit = _separate_cells(qs, alphas, r_bb, r_bg, good_first, qs[start : start + step])
-        admit &= lhs <= sorted_thr[-1]
-        idx = np.flatnonzero(admit)
-        rank = np.searchsorted(sorted_thr, lhs.ravel()[idx])
-        del lhs, admit  # freed before the next slab is built, to bound peak memory
-        row, cell = np.divmod(idx, cells)
-        np.minimum.at(best, (row + start * res) * n + rank, d_g[cell])
-    best = np.minimum.accumulate(best.reshape(res, res, n), axis=2)
-    return np.moveaxis(best, 2, 0)[np.argsort(ranked)]
-
-
-def _separate_good_params(qs, alphas, r_bb, r_bg, good_first, d_g_tab, threshold, qb_i, ab_i):
-    """(q_g, alpha_g) grid indices of the first (alpha_g, q_g) cell attaining the
-    best good-receiver distortion of (qs[qb_i], alphas[ab_i]) at a threshold."""
-    lhs, order = _separate_cells(qs, alphas, r_bb, r_bg, good_first, qs[qb_i : qb_i + 1])
-    valid = order[0, ab_i] & (lhs[0, ab_i] <= threshold)
-    ag_i, qg_i = divmod(int(np.argmin(np.where(valid, d_g_tab.T.ravel(), np.inf))), qs.size)
-    return qg_i, ag_i
+        step = r - r_gb[described]  # >= 0: r grows with the side-information crossover
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q[:, described] = np.minimum(T / r, np.where(step > 0.0, (T - S) / step, np.inf))
+    np.clip(q, 0.0, 1.0, out=q)
+    ag = np.arange(r_gg.size)
+    np.minimum(q, q_b, out=q, where=ag > ab)
+    earlier = ag < ab
+    out_of_order = earlier & (q < q_b - FEAS_TOL)
+    np.maximum(q, q_b, out=q, where=earlier)
+    q[out_of_order] = np.nan
+    return q
 
 
 def binary_separate_region(problem: BinaryProblem, resolution: int = 41) -> TradeoffCurve:
     """Achievable tradeoff of separate source and channel coding.
 
-    Sweeps the channel power-split parameter theta and the two description
-    test channels.  The bad receiver's description rate must fit its channel
-    rate kappa * (1 - H2(theta * p_b)); the good receiver's cumulative source
-    rate must fit the cumulative channel rate
-    kappa * (1 - H2(theta * p_b)) + kappa * (H2(theta * p_g) - H2(p_g)),
-    with the cumulative source rate picked by the side-information order.
-    Either degradation order of the two descriptions is allowed.
+    Sweeps the bad receiver's description (q_b, alpha_b) and the good
+    receiver's alpha_g; theta and q_g follow from them.  The bad receiver's
+    description rate must fit its channel rate kappa * (1 - H2(theta * p_b));
+    the good receiver's cumulative source rate must fit the cumulative
+    channel rate kappa * (1 - H2(theta * p_b)) + kappa * (H2(theta * p_g) -
+    H2(p_g)), with the cumulative source rate picked by the side-information
+    order.  Either degradation order of the two descriptions is allowed.
     """
     validate_problem(problem)
     require_two_receivers(problem)
@@ -586,42 +605,50 @@ def binary_separate_region(problem: BinaryProblem, resolution: int = 41) -> Trad
     p_b, p_g = problem.crossovers[b], problem.crossovers[g]
     beta_b, beta_g = problem.sideinfo_crossovers[b], problem.sideinfo_crossovers[g]
     qs, alphas = _grids(resolution)
+    res = qs.size
     thetas = np.linspace(0.0, 0.5, resolution)
     cap_b, cap_tot = _separate_caps(p_b, p_g, float(problem.kappa), thetas)
     good_first = beta_g <= beta_b  # side information order: the good receiver's is better
     r_bb = wz_rate_kernel(alphas, beta_b)  # r(alpha, beta_b) on the alpha grid
     r_bg = wz_rate_kernel(alphas, beta_g)
-    d_b_tab = layer_distortion(qs[:, None], alphas[None, :], beta_b)
-    d_g_tab = layer_distortion(qs[:, None], alphas[None, :], beta_g)
-    grid = (qs, alphas, r_bb, r_bg, good_first, d_g_tab)
-    best = _separate_best_dg(*grid, cap_tot + FEAS_TOL)  # (theta, q_b, alpha_b)
-    ok_b = np.outer(qs, r_bb) <= cap_b[:, None, None] + FEAS_TOL
-    # per-theta envelope vertices in receiver coordinates (D1 on the x axis)
-    xs, ys, origin = [], [], []
-    for t in range(resolution):
-        qb_i, ab_i = np.nonzero(ok_b[t] & np.isfinite(best[t]))
-        if qb_i.size == 0:
-            continue
-        d_b, d_g = d_b_tab[qb_i, ab_i], best[t, qb_i, ab_i]
-        x, y = (d_b, d_g) if b == 0 else (d_g, d_b)
-        require_within_bounds(problem, (x, y))
-        keep = lower_envelope_indices(x, y)
-        xs.append(x[keep])
-        ys.append(y[keep])
-        origin.extend((t, qb_i[i], ab_i[i]) for i in keep)
-    if not origin:
-        raise ValueError("separate-coding sweep produced no feasible points")
-    x, y = np.concatenate(xs), np.concatenate(ys)
+    need = np.outer(qs, r_bb).ravel()  # bad-description rate per (q_b, alpha_b)
+    theta = _separate_best_theta(cap_b, cap_tot, need)
+    cell = np.flatnonzero(theta >= 0)  # q_b = 0 fits every bad cap, so never empty
+    theta = theta[cell]
+    qb_i, ab_i = np.divmod(cell, res)
+    gain = beta_g - np.minimum(alphas, beta_g)  # d_g = beta_g - q_g * gain
+    ag_i = np.empty(cell.size, dtype=np.int64)
+    q_g = np.empty(cell.size)
+    step = max(1, _CHUNK_CELLS // res)
+    for start in range(0, cell.size, step):
+        blk = slice(start, start + step)
+        q_b = qs[qb_i[blk], None]
+        q = _separate_good_q(
+            cap_tot[theta[blk], None],
+            need[cell[blk], None],
+            q_b * r_bg[ab_i[blk], None],
+            q_b,
+            ab_i[blk, None],
+            r_bg,
+            r_bb,
+            good_first,
+        )
+        # alpha_g = alpha_b is always in order, so every cell has a candidate
+        best = np.where(np.isnan(q), -np.inf, q * gain).argmax(axis=1)
+        ag_i[blk] = best
+        q_g[blk] = q[np.arange(best.size), best]
+    d_b = layer_distortion(qs[qb_i], alphas[ab_i], beta_b)
+    d_g = layer_distortion(q_g, alphas[ag_i], beta_g)
+    x, y = (d_b, d_g) if b == 0 else (d_g, d_b)
+    require_within_bounds(problem, (x, y))
     points = []
     for i in lower_envelope_indices(x, y):
-        t, qb_i, ab_i = origin[i]
-        qg_i, ag_i = _separate_good_params(*grid, cap_tot[t] + FEAS_TOL, qb_i, ab_i)
         params = {
-            "theta": float(thetas[t]),
-            "q_b": float(qs[qb_i]),
-            "alpha_b": float(alphas[ab_i]),
-            "q_g": float(qs[qg_i]),
-            "alpha_g": float(alphas[ag_i]),
+            "theta": float(thetas[theta[i]]),
+            "q_b": float(qs[qb_i[i]]),
+            "alpha_b": float(alphas[ab_i[i]]),
+            "q_g": float(q_g[i]),
+            "alpha_g": float(alphas[ag_i[i]]),
         }
         points.append(DistortionPoint(D=(x[i], y[i]), scheme="separate", params=params))
     return TradeoffCurve(points=tuple(points), envelope_applied=True)

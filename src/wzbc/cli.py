@@ -283,7 +283,7 @@ def _suite_binary_oracle(tol, seed):
         feas = np.outer(qs, r) <= rate
         d = qs[:, None] * alphas[None, :] + (1.0 - qs[:, None]) * beta
         brute = float(d[feas].min())
-        val = bn.binary_wz_distortion(beta, rate, 800)
+        val = bn.binary_wz_distortion(beta, rate)
         worst = max(worst, abs(brute - val))
     problem = BinaryProblem((0.05, 0.1), (0.2, 0.1), Fraction(1))
     a = bn.binary_cds_points(problem, 21)

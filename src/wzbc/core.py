@@ -308,23 +308,6 @@ class TradeoffCurve:
     def d2(self):
         return [p.D[1] for p in self.points]
 
-    def interpolate(self, x: float) -> float:
-        """Piecewise-linear value of the curve at D1 = x (x within range)."""
-        xs = self.d1()
-        ys = self.d2()
-        if not xs[0] - 1e-12 <= x <= xs[-1] + 1e-12:
-            raise ValueError(f"x={x} outside curve range [{xs[0]}, {xs[-1]}]")
-        if len(xs) == 1:
-            return ys[0]
-        x = min(max(x, xs[0]), xs[-1])
-        for i in range(len(xs) - 1):
-            if x <= xs[i + 1]:
-                if xs[i + 1] == xs[i]:
-                    return min(ys[i], ys[i + 1])
-                t = (x - xs[i]) / (xs[i + 1] - xs[i])
-                return ys[i] + t * (ys[i + 1] - ys[i])
-        return ys[-1]
-
 
 def problem_from_dict(data: Mapping) -> Problem:
     """Build a problem from its JSON dictionary form.

@@ -29,13 +29,13 @@ from wzbc.binary import (
     _grids,
     _lds_channel_table,
     _lds_refinement_search,
-    _separate_best_dg,
+    _separate_best_theta,
     _separate_caps,
-    _separate_cells,
+    _separate_good_q,
     FEAS_TOL,
-    _IDX_EPS,
     separate_coding_labels,
 )
+from wzbc.cli import main
 from wzbc.gaussian import separate_coding_labels as gaussian_separate_coding_labels
 from wzbc.infotheory import binary_convolution, binary_entropy, wz_rate_kernel
 from wzbc.optimize import envelope_value, lower_envelope_indices
@@ -55,30 +55,91 @@ def bisect_entropy_inverse(h, lo=0.0, hi=0.5):
 
 
 def test_wz_distortion_edges():
-    assert binary_wz_distortion(0.3, 0.0) == pytest.approx(0.3, abs=1e-15)
-    assert binary_wz_distortion(0.3, binary_entropy(0.3)) == pytest.approx(0.0, abs=1e-12)
+    for beta in (0.0, 0.05, 0.3, 0.5):
+        assert binary_wz_distortion(beta, 0.0) == beta
+        assert binary_wz_distortion(beta, binary_entropy(beta)) == 0.0
+        assert binary_wz_distortion(beta, 2.0) == 0.0
     assert binary_wz_distortion(0.0, 0.5) == 0.0
+    # no side information: the rate-distortion function, H2(D) = 1 - R
+    assert binary_entropy(binary_wz_distortion(0.5, 0.4)) == pytest.approx(0.6, abs=1e-12)
+    for beta, R in ((-0.1, 0.1), (0.6, 0.1), (0.2, -1e-9), (0.2, float("nan"))):
+        with pytest.raises(ValueError):
+            binary_wz_distortion(beta, R)
+
+
+def fine_grid_wz_distortion(beta, R, n=2_000_001):
+    """min over an n-point alpha grid on [0, beta] of the time-sharing
+    distortion beta - q (beta - alpha) with q = min(1, R / r(alpha, beta))."""
+    alphas = np.linspace(0.0, beta, n)
+    r = wz_rate_kernel(alphas, beta)
+    q = np.ones(n)
+    q[r > 0.0] = np.minimum(1.0, R / r[r > 0.0])
+    return float((beta - q * (beta - alphas)).min())
+
+
+def wz_tangent_point(beta, n=200_001):
+    """Grid estimate of the tangent point from (beta, 0) to r(., beta): the
+    maximizer of (beta - a) / r(a, beta)."""
+    a = np.linspace(0.0, beta, n)[1:-1]
+    return float(a[np.argmax((beta - a) / wz_rate_kernel(a, beta))])
 
 
 def test_wz_distortion_pinned_value():
-    # frozen from the 2-D brute force over (q, alpha); the analytic-q search
-    # refines it from above by less than the alpha-grid slack
+    # the exact value; the 2,000,001-point analytic-q grid value lies above it
+    # by 6.4e-15 (on the tangent branch the grid error is second order)
     val = binary_wz_distortion(0.25, 0.4)
-    assert val == pytest.approx(0.10407830809514322, abs=1e-12)
-    qs = np.linspace(0, 1, 2000)
-    alphas = np.linspace(0, 0.25, 2000)
-    rates = wz_rate_kernel(alphas, 0.25)
-    feas = np.outer(qs, rates) <= 0.4
-    brute = float((qs[:, None] * alphas[None, :] + (1 - qs[:, None]) * 0.25)[feas].min())
-    assert val <= brute + 1e-12
-    assert brute - val < 1e-4
+    assert val.hex() == "0x1.aa4e03c94f69ep-4"
+    assert 0.0 <= fine_grid_wz_distortion(0.25, 0.4) - val < 1e-12
 
 
 def test_wz_distortion_monotone_in_rate():
-    vals = [binary_wz_distortion(0.25, r) for r in np.linspace(0, 1, 21)]
-    assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
-    assert vals[0] == pytest.approx(0.25)
-    assert binary_wz_distortion(0.25, binary_entropy(0.25) + 0.01) == 0.0
+    for beta in (0.01, 0.1, 0.2, 0.25, 0.3, 0.45, 0.5):
+        rates = np.linspace(0.0, binary_entropy(beta) + 0.01, 401)
+        vals = [binary_wz_distortion(beta, float(r)) for r in rates]
+        assert all(b <= a for a, b in zip(vals, vals[1:])), beta
+        assert vals[0] == beta and vals[-1] == 0.0
+
+
+def test_wz_distortion_monotone_in_beta():
+    for R in (0.0, 0.05, 0.3, 0.6, 0.99):
+        vals = [binary_wz_distortion(float(b), R) for b in np.linspace(0.0, 0.5, 401)]
+        assert all(b >= a for a, b in zip(vals, vals[1:])), R
+
+
+def test_wz_distortion_against_a_fine_grid():
+    # random draws on both branches: never above the grid value, equal to it
+    # within 1e-12 on the tangent branch and within the grid spacing on the
+    # saturation branch (there the grid misses the saturation point to first order)
+    rng = np.random.default_rng(7)
+    seen = set()
+    for _ in range(6):
+        beta = float(rng.uniform(0.01, 0.5))
+        R = float(rng.uniform(0.0, binary_entropy(beta)))
+        val = binary_wz_distortion(beta, R)
+        grid = fine_grid_wz_distortion(beta, R)
+        assert val <= grid + 1e-15, (beta, R)
+        # the grid tangent point is off by ~1e-6, so the margin keeps the
+        # classification right
+        tangent = R < wz_rate_kernel(wz_tangent_point(beta), beta) * (1 - 1e-4)
+        seen.add(tangent)
+        assert grid - val <= (1e-12 if tangent else beta / 2_000_000), (beta, R, tangent)
+    assert seen == {True, False}
+
+
+def test_wz_distortion_at_the_saturation_kink():
+    # at R = r(d_t, beta) both branches give the tangent point d_t
+    for beta in (0.1, 0.45):
+        d_t = wz_tangent_point(beta)
+        R = float(wz_rate_kernel(d_t, beta))
+        val = binary_wz_distortion(beta, R)
+        assert val == pytest.approx(d_t, abs=1e-5)
+        assert -1e-15 <= fine_grid_wz_distortion(beta, R) - val <= beta / 2_000_000
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_binary_oracle_suite_passes(seed, capsys):
+    assert main(["validate", "--suite", "binary-oracle", "--seed", str(seed)]) == 0
+    assert "sub-grid equality True" in capsys.readouterr().out
 
 
 def test_uncoded_examples():
@@ -109,7 +170,7 @@ def test_cds_region_touches_both_converse_corners_when_balanced():
         bisect_entropy_inverse(1.0 - wz_rate_kernel(alpha, b)) for b in betas
     )
     problem = BinaryProblem(ps, betas, kappa=1)
-    conv = binary_trivial_converse(problem, 4001)
+    conv = binary_trivial_converse(problem)
     assert conv == pytest.approx((alpha, alpha), abs=1e-6)
     d1, d2, q, a = binary_cds_points(problem, 2001)
     assert min(d1) == pytest.approx(alpha, abs=0.5 / 2000)
@@ -178,25 +239,32 @@ def test_lds_channel_rates_xor_degenerate_cases():
 @pytest.mark.parametrize("resolution", [15, 41])
 @pytest.mark.parametrize("kappa", [1, "1/2"])
 def test_channel_table_rows_equal_scalar_rates_bitwise(resolution, kappa):
+    # every row at 15; at 41 the whole T = U_c block and 200 seeded xor rows
+    rng = np.random.default_rng(resolution)
     for p_c, p_r in ((0.05, 0.1), (0.1, 0.05)):
         xor, gamma_c, gamma_r, rates, clamped = _lds_channel_table(p_c, p_r, kappa, resolution)
         assert len(xor) == resolution + resolution**2
         assert clamped.any() and not clamped.all()
-        for t, g_c, g_r, row, flag in zip(xor, gamma_c, gamma_r, rates, clamped):
-            t_choice = TChoice.T_EQUALS_UC_XOR_UR if t else TChoice.T_EQUALS_UC
+        rows = np.arange(len(xor))
+        if resolution > 15:
+            rows = np.concatenate((rows[:resolution], rng.choice(rows[resolution:], 200, False)))
+        assert not xor[:resolution].any() and xor[resolution:].all()
+        for i in rows:
+            t_choice = TChoice.T_EQUALS_UC_XOR_UR if xor[i] else TChoice.T_EQUALS_UC
             want = binary_lds_channel_rates(
-                p_c, p_r, BinaryChannelParams(float(g_c), float(g_r), t_choice), kappa
+                p_c, p_r, BinaryChannelParams(float(gamma_c[i]), float(gamma_r[i]), t_choice), kappa
             )
-            assert [float(v).hex() for v in row] == [v.hex() for v in want.as_tuple()]
-            assert bool(flag) == want.clamped
+            assert [float(v).hex() for v in rates[i]] == [v.hex() for v in want.as_tuple()]
+            assert bool(clamped[i]) == want.clamped
 
 
-def reference_lds_refinement_search(problem, assign, resolution, rates):
-    """The layered refinement search as a walk over (tuple, q_c, alpha_c,
-    alpha_r) cubes, in chunks of at most 2**20 cells (one tuple when a tuple
-    alone is larger), each chunk reduced to its envelope vertices: the former
-    body of _lds_refinement_search, kept as the exactness oracle.  Returns the
-    (2, m) receiver-order distortions of the kept vertices."""
+def grid_q_lds_search(problem, assign, resolution, rates):
+    """The former grid-q layered refinement search: each alpha_r takes the
+    largest grid q_r within the budget, over (tuple, q_c, alpha_c, alpha_r)
+    cubes in chunks of at most 2**20 cells (one tuple when a tuple alone is
+    larger), each chunk reduced to its envelope vertices.  Kept as the
+    reference the continuous-q_r search must dominate.  Returns the (2, m)
+    receiver-order distortions of the kept vertices."""
     qs, alphas = _grids(resolution)
     res = qs.size
     beta_c = problem.sideinfo_crossovers[assign.c]
@@ -220,7 +288,7 @@ def reference_lds_refinement_search(problem, assign, resolution, rates):
         with np.errstate(divide="ignore", invalid="ignore"):
             qmax = budget[:, None] / r_r[None, :]
         qmax[:, r_r <= 0.0] = 1.0
-        qr_all = (np.minimum(qmax, 1.0) * (res - 1) + _IDX_EPS).astype(np.int64)
+        qr_all = (np.minimum(qmax, 1.0) * (res - 1) + 1e-9).astype(np.int64)
         dr_cand = dr_tab[qr_all, np.arange(res)]
         dr_cand[(qr_all < qc[:, None]) | (alphas > alphas[ac][:, None] + FEAS_TOL)] = np.inf
         ar = np.argmin(dr_cand, axis=1)
@@ -236,10 +304,51 @@ def reference_lds_refinement_search(problem, assign, resolution, rates):
     return np.concatenate(kept, axis=1)
 
 
+def reference_lds_refinement_search(problem, assign, resolution, rates):
+    """The layered refinement search with continuous q_r for every (tuple,
+    q_c, alpha_c, alpha_r) cell: an alpha_r <= alpha_c takes
+    q_r = min(1, budget / r(alpha_r, beta_r)) (1 when r = 0) and is admitted
+    when q_c r(alpha_r, beta_r) fits the budget within FEAS_TOL, with q_r
+    raised to q_c.  Chunks of at most 2**20 cells (one tuple when a tuple
+    alone is larger) are each reduced to their envelope vertices.  Returns the
+    (2, m) receiver-order distortions of the kept vertices."""
+    qs, alphas = _grids(resolution)
+    res = qs.size
+    beta_c = problem.sideinfo_crossovers[assign.c]
+    beta_r = problem.sideinfo_crossovers[assign.r]
+    r_r = wz_rate_kernel(alphas, beta_r)
+    src_c = np.outer(qs, wz_rate_kernel(alphas, beta_c))  # (q_c, alpha_c)
+    src_r = np.outer(qs, r_r)
+    step = max(1, 2**20 // res**3)
+    kept = []
+    for start in range(0, len(rates), step):
+        chunk = rates[start : start + step]
+        cl_ok = (src_c <= chunk[:, 0, None, None] + FEAS_TOL) & (
+            src_r <= chunk[:, 1, None, None] + FEAS_TOL
+        )
+        t, qc, ac = np.nonzero(cl_ok)
+        if t.size == 0:
+            continue
+        budget = (chunk[t, 2] + src_r[qc, ac])[:, None]
+        q_c = qs[qc][:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q_r = np.where(r_r > 0.0, np.minimum(1.0, budget / r_r), 1.0)
+        ok = (q_c * r_r <= budget + FEAS_TOL) & (alphas <= alphas[ac][:, None])
+        q_r = np.maximum(q_r, q_c)
+        # the smallest D_r over alpha_r of each (tuple, q_c, alpha_c) is the
+        # only point of the row the envelope can keep
+        d = np.empty((2, t.size))
+        d[assign.c] = layer_distortion(qs[qc], alphas[ac], beta_c)
+        d[assign.r] = np.where(ok, layer_distortion(q_r, alphas, beta_r), np.inf).min(axis=1)
+        require_within_bounds(problem, d)
+        kept.append(d[:, lower_envelope_indices(d[0], d[1])])
+    return np.concatenate(kept, axis=1)
+
+
 def undominated_rows(rates):
     """rates without the rows that another row weakly dominates componentwise
-    (of equal rows the first is kept): the tuple pruning that used to precede
-    the chunked refinement search."""
+    (of equal rows the first is kept): no tuple they drop gives a point that
+    a kept tuple does not give as well."""
     ge = np.all(rates[None, :, :] >= rates[:, None, :], axis=2)
     gt = np.any(rates[None, :, :] > rates[:, None, :], axis=2)
     earlier = np.tri(len(rates), k=-1, dtype=bool)
@@ -248,6 +357,16 @@ def undominated_rows(rates):
 
 def envelope_hex(D):
     return [(D[0][i].hex(), D[1][i].hex()) for i in lower_envelope_indices(D[0], D[1])]
+
+
+def assert_on_or_above(D_old, D_new, tol=1e-12):
+    """Every point of D_old lies on or above the lower envelope through D_new
+    (+inf left of its first vertex, its lowest value right of its last)."""
+    keep = lower_envelope_indices(D_new[0], D_new[1])
+    xs, ys = D_new[0][keep], D_new[1][keep]
+    x = np.where((D_old[0] < xs[0]) & (D_old[0] >= xs[0] - tol), xs[0], D_old[0])
+    below = np.interp(x, xs, ys, left=np.inf, right=ys[-1]) - (D_old[1] + tol)
+    assert np.all(below <= 0.0), float(below.max())
 
 
 ASSIGNS = (RoleAssignment(1, 2), RoleAssignment(2, 1))
@@ -260,28 +379,83 @@ LDS_PROBLEM_SET = [
 ]
 
 
-def assert_search_equals_reference(problem, resolution):
+def unflagged_rates(problem, assign, resolution):
+    _, _, _, rates, clamped = _lds_channel_table(
+        problem.crossovers[assign.c], problem.crossovers[assign.r], problem.kappa, resolution
+    )
+    return rates[~clamped]
+
+
+def assert_search_equals_reference(problem, resolution, prune):
+    """The search equals the continuous-q_r reference in float hex; the
+    reference walks every unflagged tuple, or only the undominated ones when
+    prune is set (to bound its time at the larger resolutions)."""
     for assign in ASSIGNS:
-        _, _, _, rates, clamped = _lds_channel_table(
-            problem.crossovers[assign.c], problem.crossovers[assign.r], problem.kappa, resolution
-        )
-        unflagged = rates[~clamped]
-        D, _ = _lds_refinement_search(problem, assign, resolution, unflagged)
+        rates = unflagged_rates(problem, assign, resolution)
+        D, _, _ = _lds_refinement_search(problem, assign, resolution, rates)
         want = reference_lds_refinement_search(
-            problem, assign, resolution, undominated_rows(unflagged)
+            problem, assign, resolution, undominated_rows(rates) if prune else rates
         )
         assert envelope_hex(D) == envelope_hex(want), (problem, resolution, assign)
 
 
-@pytest.mark.parametrize("resolution", [11, 15, 21])
+@pytest.mark.parametrize("resolution", [11, 15])
 @pytest.mark.parametrize("kappa", [1, "1/2"])
 def test_refinement_search_equals_chunked_reference(kappa, resolution):
     for crossovers, sideinfo in LDS_PROBLEM_SET:
-        assert_search_equals_reference(BinaryProblem(crossovers, sideinfo, kappa=kappa), resolution)
+        assert_search_equals_reference(
+            BinaryProblem(crossovers, sideinfo, kappa=kappa), resolution, prune=False
+        )
 
 
 def test_refinement_search_equals_chunked_reference_on_fixture_at_41():
-    assert_search_equals_reference(PROBLEM, 41)
+    assert_search_equals_reference(PROBLEM, 41, prune=True)
+
+
+@pytest.mark.parametrize("resolution", [11, 15])
+@pytest.mark.parametrize("kappa", [1, "1/2"])
+def test_refinement_search_dominates_grid_q_search(kappa, resolution):
+    for crossovers, sideinfo in LDS_PROBLEM_SET:
+        problem = BinaryProblem(crossovers, sideinfo, kappa=kappa)
+        for assign in ASSIGNS:
+            rates = unflagged_rates(problem, assign, resolution)
+            D, _, _ = _lds_refinement_search(problem, assign, resolution, rates)
+            old = grid_q_lds_search(problem, assign, resolution, undominated_rows(rates))
+            assert_on_or_above(old, D)
+
+
+@pytest.mark.parametrize("layer", [0, 1])
+def test_refinement_search_admits_common_rates_over_cap_by_half_the_slack(layer):
+    # one tuple whose R_cc (layer 0) or R_cr (layer 1) lies FEAS_TOL / 2 below
+    # the rate of the cell (q_c, alpha_c) = (1, 0.05): the cell is admitted, and
+    # it alone attains the smallest D_c
+    assign, res = RoleAssignment(1, 2), 11
+    qs, alphas = _grids(res)
+    beta_c, beta_r = PROBLEM.sideinfo_crossovers
+    r_layer = wz_rate_kernel(alphas, (beta_c, beta_r)[layer])
+    rates = np.array([[10.0, 10.0, 0.0]])
+    rates[0, layer] = r_layer[1] - 0.5 * FEAS_TOL
+    D, _, _ = _lds_refinement_search(PROBLEM, assign, res, rates)
+    d_c = layer_distortion(qs[:, None], alphas[None, :], beta_c)
+    src = np.outer(qs, r_layer)
+    assert D[assign.c].min() == d_c[src <= rates[0, layer] + FEAS_TOL].min() == d_c[-1, 1]
+    assert d_c[src <= rates[0, layer]].min() > d_c[-1, 1]
+
+
+def test_refinement_search_admits_q_r_below_q_c_by_half_the_slack():
+    # the cell (q_c, alpha_c) = (1, 0.05) with R_rr FEAS_TOL / 2 short of
+    # what alpha_r = 0 needs at q_r = q_c: the pair is admitted with q_r = 1,
+    # which gives the vertex (0.05, 0)
+    assign, res = RoleAssignment(1, 2), 11
+    _, alphas = _grids(res)
+    beta_c, beta_r = PROBLEM.sideinfo_crossovers
+    r_r = wz_rate_kernel(alphas, beta_r)
+    r_rr = r_r[0] - r_r[1] - 0.5 * FEAS_TOL
+    rates = np.array([[wz_rate_kernel(alphas[1], beta_c), r_r[1], r_rr]])
+    assert r_r[0] > rates[0, 2] + r_r[1]  # the budget alone does not admit it
+    D, _, q_r = _lds_refinement_search(PROBLEM, assign, res, rates)
+    assert (layer_distortion(1.0, alphas[1], beta_c), 0.0) in zip(D[assign.c], D[assign.r])
+    assert np.all(q_r <= 1.0)
 
 
 @pytest.mark.parametrize("kappa", [1, "1/2"])
@@ -406,10 +580,10 @@ def test_separate_channel_bounds_at_theta_extremes():
     assert cap_inc(0.5) == pytest.approx(1 - binary_entropy(p_g), abs=1e-12)
 
 
-def reference_separate_vertices(problem, resolution):
-    """The separate-coding sweep as one (theta, q_b) loop over res^3 cubes:
-    the former body of binary_separate_region, kept as the exactness oracle.
-    Returns the region's (D, params) pairs."""
+def grid_q_separate_vertices(problem, resolution):
+    """The former grid-q separate-coding sweep as one (theta, q_b) loop over
+    res^3 (alpha_b, alpha_g, q_g) cubes, kept as the reference the
+    continuous-q_g sweep must dominate.  Returns the region's (D, params) pairs."""
     b, g = separate_coding_labels(problem)
     p_b, p_g = problem.crossovers[b], problem.crossovers[g]
     beta_b, beta_g = problem.sideinfo_crossovers[b], problem.sideinfo_crossovers[g]
@@ -474,6 +648,56 @@ def reference_separate_vertices(problem, resolution):
     return [vertices[i] for i in lower_envelope_indices(x, y)]
 
 
+def reference_separate_vertices(problem, resolution):
+    """The separate-coding sweep with continuous q_g for every (theta, q_b,
+    alpha_b, alpha_g) cell: per theta, a (q_b, alpha_b) whose rate fits the
+    bad cap within FEAS_TOL pairs with every alpha_g at the largest q_g whose
+    cumulative rate fits the cumulative cap, put in degradation order (q_g <=
+    q_b when alpha_g > alpha_b; when alpha_g < alpha_b admitted only if
+    q_g >= q_b - FEAS_TOL, then raised to q_b).  Each theta's points are
+    reduced to their envelope vertices and the region is the envelope of
+    those.  Returns the (2, m) receiver-order distortions of its vertices."""
+    b, g = separate_coding_labels(problem)
+    p_b, p_g = problem.crossovers[b], problem.crossovers[g]
+    beta_b, beta_g = problem.sideinfo_crossovers[b], problem.sideinfo_crossovers[g]
+    kappa = float(problem.kappa)
+    qs, alphas = _grids(resolution)
+    good_first = beta_g <= beta_b
+    Q_b, A_b, A_g = qs[:, None, None], alphas[None, :, None], alphas[None, None, :]
+    S = Q_b * wz_rate_kernel(A_b, beta_b)
+    E = Q_b * wz_rate_kernel(A_b, beta_g)
+    r_gg = wz_rate_kernel(A_g, beta_g)
+    r_gb = wz_rate_kernel(A_g, beta_b)
+    d_b = np.broadcast_to(layer_distortion(Q_b, A_b, beta_b), (resolution,) * 3)
+    xs, ys = [], []
+    for theta in np.linspace(0.0, 0.5, resolution):
+        cap_b = kappa * (1.0 - binary_entropy(binary_convolution(theta, p_b)))
+        cap_tot = cap_b + kappa * (
+            binary_entropy(binary_convolution(theta, p_g)) - binary_entropy(p_g)
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if good_first:
+                q = (cap_tot - S + E) / r_gg
+            else:
+                q = np.minimum(
+                    cap_tot / r_gg, np.where(r_gg > r_gb, (cap_tot - S) / (r_gg - r_gb), np.inf)
+                )
+        q = np.clip(np.where(r_gg > 0.0, q, 1.0), 0.0, 1.0)
+        q = np.where(A_g > A_b, np.minimum(q, Q_b), q)
+        ok = ((A_g >= A_b) | (q >= Q_b - FEAS_TOL)) & (S <= cap_b + FEAS_TOL)
+        q = np.where(A_g < A_b, np.maximum(q, Q_b), q)
+        if not ok.any():
+            continue
+        pair = (d_b[ok], layer_distortion(q, A_g, beta_g)[ok])
+        x, y = pair if b == 0 else pair[::-1]
+        keep = lower_envelope_indices(x, y)
+        xs.append(x[keep])
+        ys.append(y[keep])
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    keep = lower_envelope_indices(x, y)
+    return np.array([x[keep], y[keep]])
+
+
 # both side-information orders, equal crossovers (with and without a
 # side-information tie), crossovers near 0.01 and 0.3, kappa 1 and 1/2
 SEPARATE_PROBLEMS = [
@@ -485,15 +709,24 @@ SEPARATE_PROBLEMS = [
 ]
 
 
+def curve_D(curve):
+    return np.array([p.D for p in curve.points]).T
+
+
 @pytest.mark.parametrize("resolution", [3, 5, 11, 21])
 @pytest.mark.parametrize("problem", SEPARATE_PROBLEMS)
 def test_separate_region_equals_theta_loop_reference(problem, resolution):
-    curve = binary_separate_region(problem, resolution)
+    got = curve_D(binary_separate_region(problem, resolution))
     want = reference_separate_vertices(problem, resolution)
-    assert [[float(d).hex() for d in p.D] for p in curve.points] == [
-        [float(d).hex() for d in D] for D, _ in want
-    ]
-    assert [dict(p.params) for p in curve.points] == [params for _, params in want]
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("resolution", [5, 11, 21])
+@pytest.mark.parametrize("problem", SEPARATE_PROBLEMS)
+def test_separate_region_dominates_grid_q_reference(problem, resolution):
+    old = np.array([D for D, _ in grid_q_separate_vertices(problem, resolution)]).T
+    assert_on_or_above(old, curve_D(binary_separate_region(problem, resolution)))
 
 
 @pytest.mark.parametrize("resolution", [15, 27, 41])
@@ -512,21 +745,41 @@ def test_separate_caps_equal_scalar_expressions_bitwise(resolution, kappa):
 
 
 @pytest.mark.parametrize("resolution", [7, 17])
+def test_separate_theta_choice_equals_brute_force_at_tied_caps(resolution):
+    rng = np.random.default_rng(resolution)
+    # repeated bad caps and cumulative caps; rates at, between and beyond the thresholds
+    cap_b = rng.choice(np.linspace(0.0, 1.0, 5), resolution)
+    cap_tot = cap_b + rng.choice([0.0, 0.25, 0.5], resolution)
+    need = np.concatenate((cap_b + FEAS_TOL, cap_b, rng.uniform(-0.1, 1.1, 50), [2.0]))
+    got = _separate_best_theta(cap_b, cap_tot, need)
+    for rate, t in zip(need, got):
+        admitted = np.flatnonzero(rate <= cap_b + FEAS_TOL)
+        if admitted.size == 0:
+            assert t == -1
+        else:
+            assert t == admitted[np.argmax(cap_tot[admitted])]
+
+
+def test_separate_theta_choice_admits_a_rate_over_the_bad_cap_by_half_the_slack():
+    cap_b = np.array([0.3, 0.5, 0.2])
+    cap_tot = np.array([0.9, 0.6, 1.0])
+    need = np.array([0.5, 0.3, 0.5]) + np.array([0.5, 0.5, 2.0]) * FEAS_TOL
+    assert _separate_best_theta(cap_b, cap_tot, need).tolist() == [1, 0, -1]
+
+
 @pytest.mark.parametrize("good_first", [True, False])
-def test_separate_best_dg_equals_brute_force_at_tied_thresholds(good_first, resolution):
-    qs, alphas = _grids(resolution)
-    r_bb = wz_rate_kernel(alphas, 0.3)
-    r_bg = wz_rate_kernel(alphas, 0.15)
-    d_g_tab = layer_distortion(qs[:, None], alphas[None, :], 0.15)
-    lhs, order = _separate_cells(qs, alphas, r_bb, r_bg, good_first, qs)
-    # thresholds equal to cell values, unsorted, repeated, and one admitting nothing
-    picks = np.random.default_rng(resolution).choice(lhs[order], 9)
-    thresholds = np.concatenate((picks, picks[:2], [-1.0]))
-    best = _separate_best_dg(qs, alphas, r_bb, r_bg, good_first, d_g_tab, thresholds)
-    d_g = d_g_tab.T.ravel()
-    for k, threshold in enumerate(thresholds):
-        want = np.where(order & (lhs <= threshold), d_g, np.inf).min(axis=2)
-        assert np.array_equal(best[k], want)
+def test_separate_good_q_admits_an_earlier_alpha_g_by_half_the_slack(good_first):
+    # alpha_b has grid index 1; at alpha_g index 0 the largest q_g within the
+    # cumulative cap lies FEAS_TOL / 2 (first cell) or 2 FEAS_TOL (second cell)
+    # below q_b: the first is admitted with q_g = q_b, the second is not
+    r_gg = np.array([0.8, 0.5, 0.3])
+    r_gb = np.array([0.6, 0.4, 0.2])
+    q_b, S, E = 0.5, 0.2, 0.225
+    target = q_b - np.array([[0.5], [2.0]]) * FEAS_TOL
+    T = S - E + target * r_gg[0] if good_first else target * r_gg[0]
+    q = _separate_good_q(T, S, E, q_b, 1, r_gg, r_gb, good_first)
+    assert q[0, 0] == q_b and np.isnan(q[1, 0])
+    assert np.all(q[:, 2] <= q_b)  # later alpha_g: capped by q_b
 
 
 @pytest.mark.parametrize("problem", SEPARATE_PROBLEMS)

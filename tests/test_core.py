@@ -12,7 +12,6 @@ from wzbc.core import (
     InvalidProblem,
     RateTriple,
     RoleAssignment,
-    TradeoffCurve,
     UnsupportedReceiverCount,
     load_problem,
     parse_kappa,
@@ -118,18 +117,6 @@ def test_require_within_bounds_raises_named_error():
     for D in [(0.3, 0.05), (0.1, float("nan")), (np.array([0.1, 0.1]), np.array([0.0, -0.01]))]:
         with pytest.raises(BoundsViolation, match="outside"):
             require_within_bounds(p, D)
-
-
-def test_tradeoff_curve_interpolation():
-    pts = (
-        DistortionPoint(D=(0.0, 1.0), scheme="x"),
-        DistortionPoint(D=(1.0, 0.0), scheme="x"),
-    )
-    curve = TradeoffCurve(points=pts, envelope_applied=True)
-    assert curve.interpolate(0.5) == pytest.approx(0.5)
-    assert curve.interpolate(0.0) == 1.0
-    with pytest.raises(ValueError):
-        curve.interpolate(2.0)
 
 
 def test_problem_json_round_trip(tmp_path):

@@ -588,6 +588,19 @@ def _separate_good_q(T, S, E, q_b, ab, r_gg, r_gb, good_first):
     return q
 
 
+def _separate_best_good(T, S, E, q_b, ab, r_gg, r_gb, good_first, gain):
+    """alpha_g grid index and q_g of the smallest good-receiver distortion
+    beta_g - q_g * gain per (q_b, alpha_b) cell, the first alpha_g on ties.
+
+    The arguments are those of _separate_good_q plus gain = beta_g -
+    min(alpha_g, beta_g) on the alpha grid.  alpha_g = alpha_b is always in
+    order, so every cell has a candidate.
+    """
+    q = _separate_good_q(T, S, E, q_b, ab, r_gg, r_gb, good_first)
+    best = np.where(np.isnan(q), -np.inf, q * gain).argmax(axis=1)
+    return best, q[np.arange(best.size), best]
+
+
 def binary_separate_region(problem: BinaryProblem, resolution: int = 41) -> TradeoffCurve:
     """Achievable tradeoff of separate source and channel coding.
 
@@ -623,7 +636,7 @@ def binary_separate_region(problem: BinaryProblem, resolution: int = 41) -> Trad
     for start in range(0, cell.size, step):
         blk = slice(start, start + step)
         q_b = qs[qb_i[blk], None]
-        q = _separate_good_q(
+        ag_i[blk], q_g[blk] = _separate_best_good(
             cap_tot[theta[blk], None],
             need[cell[blk], None],
             q_b * r_bg[ab_i[blk], None],
@@ -632,11 +645,8 @@ def binary_separate_region(problem: BinaryProblem, resolution: int = 41) -> Trad
             r_bg,
             r_bb,
             good_first,
+            gain,
         )
-        # alpha_g = alpha_b is always in order, so every cell has a candidate
-        best = np.where(np.isnan(q), -np.inf, q * gain).argmax(axis=1)
-        ag_i[blk] = best
-        q_g[blk] = q[np.arange(best.size), best]
     d_b = layer_distortion(qs[qb_i], alphas[ab_i], beta_b)
     d_g = layer_distortion(q_g, alphas[ag_i], beta_g)
     x, y = (d_b, d_g) if b == 0 else (d_g, d_b)

@@ -29,6 +29,7 @@ from wzbc.binary import (
     _grids,
     _lds_channel_table,
     _lds_refinement_search,
+    _separate_best_good,
     _separate_best_theta,
     _separate_caps,
     _separate_good_q,
@@ -758,6 +759,59 @@ def test_separate_theta_choice_equals_brute_force_at_tied_caps(resolution):
             assert t == -1
         else:
             assert t == admitted[np.argmax(cap_tot[admitted])]
+
+
+def bisect_good_q(rate, T):
+    """Largest q in [0, 1] with rate(q) <= T for a non-decreasing rate, by
+    bisection on arrays (rate(0) <= T everywhere)."""
+    lo, hi = np.zeros_like(T), np.ones_like(T)
+    fits = rate(hi) <= T
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        ok = rate(mid) <= T
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return np.where(fits, 1.0, lo)
+
+
+@pytest.mark.parametrize("resolution", [7, 17])
+@pytest.mark.parametrize("good_first", [True, False])
+def test_separate_best_dg_equals_brute_force_at_tied_thresholds(good_first, resolution):
+    qs, alphas = _grids(resolution)
+    beta_b, beta_g = (0.3, 0.15) if good_first else (0.15, 0.3)
+    r_gg, r_gb = wz_rate_kernel(alphas, beta_g), wz_rate_kernel(alphas, beta_b)
+    gain = beta_g - np.minimum(alphas, beta_g)
+    rng = np.random.default_rng(resolution)
+    n = 40
+    qb_i = rng.integers(0, qs.size, n)
+    ab_i = rng.integers(0, alphas.size, n)
+    q_b = qs[qb_i][:, None]
+    S = q_b * r_gb[ab_i][:, None]  # bad-description rate at the bad receiver
+    E = q_b * r_gg[ab_i][:, None]  # and at the good receiver
+
+    def rate(q, ag):  # cumulative source rate of the good receiver
+        if good_first:
+            return S + np.maximum(q * r_gg[ag] - E, 0.0)
+        return q * r_gg[ag] + np.maximum(S - q * r_gb[ag], 0.0)
+
+    # thresholds tied to the cumulative rates of grid cells, repeated across
+    # cells, equal to the bad rate alone, and admitting every q_g
+    grid = rate(qs[:, None, None], np.arange(alphas.size)[None, None, :])  # (q, cell, alpha)
+    tied = grid[rng.integers(0, qs.size, n), np.arange(n), rng.integers(0, alphas.size, n)]
+    T = np.stack([tied, tied[rng.permutation(n)], S[:, 0], np.full(n, 2.0)], axis=1)
+    T = np.maximum(T, S)  # a theta is chosen only when the bad description fits
+    for k in range(T.shape[1]):
+        Tk = T[:, k : k + 1]
+        ag, q_g = _separate_best_good(Tk, S, E, q_b, ab_i[:, None], r_gg, r_gb, good_first, gain)
+        got = layer_distortion(q_g, alphas[ag], beta_g)
+        ags = np.arange(alphas.size)[None, :]
+        q = bisect_good_q(lambda x: rate(x, ags), np.broadcast_to(Tk, (n, alphas.size)))
+        later, earlier = ags > ab_i[:, None], ags < ab_i[:, None]
+        q = np.where(later, np.minimum(q, q_b), q)
+        admitted = ~earlier | (q >= q_b - FEAS_TOL)
+        q = np.where(earlier, np.maximum(q, q_b), q)
+        want = np.where(admitted, layer_distortion(q, alphas[ags], beta_g), np.inf).min(axis=1)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.all(rate(q_g[:, None], ag[:, None]) <= Tk + FEAS_TOL)
 
 
 def test_separate_theta_choice_admits_a_rate_over_the_bad_cap_by_half_the_slack():

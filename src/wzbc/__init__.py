@@ -34,6 +34,7 @@ from .gaussian import (
     gaussian_cds,
     gaussian_lds_channel_rates,
     gaussian_lds_closed_form,
+    gaussian_lds_curve,
     gaussian_lds_distortions,
     gaussian_scheme3_closed_form,
     gaussian_separate_closed_form,

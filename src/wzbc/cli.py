@@ -94,8 +94,15 @@ def _gaussian_curve(problem, scheme, resolution, extend_flat):
             d_c = np.linspace(dmin, top, resolution)
             d_r = gs.gaussian_lds_closed_form(problem, assign, d_c, extend_flat)
             return _receiver_rows(assign, d_c, d_r)
-        cloud = gs.lds_parametric_cloud(problem, assign, resolution, resolution)
-        x, y = _cloud_receiver_xy(assign, cloud)
+        top = problem.sideinfo_vars[assign.c]
+        for _ in range(2):
+            # the envelope ends at the first sample of minimal D_r (past the knee
+            # the curve is the constant floor), so the second pass spends every
+            # sample on D_c up to there
+            d_c = np.linspace(gs.gaussian_cds(problem).D[assign.c], top, resolution)
+            d_r = gs.gaussian_lds_curve(problem, assign, d_c)
+            top = d_c[np.argmin(d_r)]
+        x, y = _receiver_xy(assign, d_c, d_r)
         keep = lower_envelope_indices(x, y)
         return [(x[i], y[i]) for i in keep]
     if scheme == "scheme3":
@@ -121,16 +128,15 @@ def gaussian_trivial_point(problem):
     return tuple(gs.gaussian_trivial_converse(problem))
 
 
+def _receiver_xy(assign, d_c, d_r):
+    """(D1, D2) arrays of a curve given in (D_c, D_r) arrays."""
+    return (d_c, d_r) if assign.c == 0 else (d_r, d_c)
+
+
 def _receiver_rows(assign, d_c, d_r):
     """Sorted (D1, D2) rows of a curve given in (D_c, D_r) arrays."""
-    d1, d2 = (d_c, d_r) if assign.c == 0 else (d_r, d_c)
+    d1, d2 = _receiver_xy(assign, d_c, d_r)
     return sorted(zip(d1.tolist(), d2.tolist()))
-
-
-def _cloud_receiver_xy(assign, cloud):
-    if assign.c == 0:
-        return cloud["d_c"], cloud["d_r"]
-    return cloud["d_r"], cloud["d_c"]
 
 
 def _binary_curve(problem, scheme, resolution):
@@ -225,28 +231,40 @@ def _report(name, ok, detail) -> bool:
 
 
 def _suite_gaussian_oracle(tol, seed):
-    """Parametric sweep envelope vs the bandwidth-matched closed form."""
+    """Parametric sweep envelope vs the closed-form layered curve.
+
+    Three instances at kappa = 1 against ``gaussian_lds_closed_form`` on its
+    domain, and the fixture at kappa = 1/2 against ``gaussian_lds_curve`` on
+    [D_c of cds, N_c].
+    """
     rng = np.random.default_rng(seed)
     instances = [
-        (1.0, (1.0, 0.5), (0.8, 0.4)),
-        (1.0, (2.0, 0.5), (0.3, 0.9)),
+        (1.0, (1.0, 0.5), (0.8, 0.4), Fraction(1)),
+        (1.0, (2.0, 0.5), (0.3, 0.9), Fraction(1)),
         (
             float(rng.uniform(0.5, 4)),
             tuple(rng.uniform(0.25, 4, 2)),
             tuple(rng.uniform(0.1, 1, 2)),
+            Fraction(1),
         ),
+        (1.0, (1.0, 0.5), (0.8, 0.4), Fraction(1, 2)),
     ]
     worst = 0.0
-    for P, W, N in instances:
-        problem = GaussianProblem(P, W, N, Fraction(1))
+    for P, W, N, kappa in instances:
+        problem = GaussianProblem(P, W, N, kappa)
         assign = gs.choose_refinement_receiver(problem)
         cloud = gs.lds_parametric_cloud(problem, assign, 400, 400)
         keep = lower_envelope_indices(cloud["d_c"], cloud["d_r"])
-        dmin, dmax = gs.gaussian_lds_dc_range(problem, assign)
+        if kappa == 1:
+            dmin, dmax = gs.gaussian_lds_dc_range(problem, assign)
+            curve = gs.gaussian_lds_closed_form
+        else:
+            dmin, dmax = gs.gaussian_cds(problem).D[assign.c], N[assign.c]
+            curve = gs.gaussian_lds_curve
         samples = np.linspace(dmin, dmax, 50)
         env = np.interp(samples, cloud["d_c"][keep], cloud["d_r"][keep])
-        closed = gs.gaussian_lds_closed_form(problem, assign, samples)
-        worst = max(worst, float(np.max(np.abs(env - closed))))
+        exact = curve(problem, assign, samples)
+        worst = max(worst, float(np.max(np.abs(env - exact))))
     return _report("gaussian-oracle", worst < tol, f"max deviation {worst:.3e} (tol {tol:g})")
 
 
@@ -471,8 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--kappa-override", default=None,
                            help='replace the problem kappa (e.g. "1/2")')
     p_compare.add_argument("--extend-flat", action="store_true",
-                           help="continue the layered closed-form curve flat beyond its "
-                                "natural right endpoint")
+                           help="continue the kappa = 1 layered closed-form curve flat "
+                                "beyond its natural right endpoint (no effect at other kappa)")
     p_compare.set_defaults(func=cmd_compare)
 
     p_val = sub.add_parser("validate", help="run a named property suite")

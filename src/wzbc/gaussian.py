@@ -292,6 +292,45 @@ def gaussian_lds_closed_form(
     return _scalar_or_array(D_r)
 
 
+def gaussian_lds_curve(problem: GaussianProblem, assign: RoleAssignment, D_c):
+    """Exact layered tradeoff D_r as a function of D_c, for any kappa.
+
+    With phi = 1/D_c - 1/N_c the common-layer rate targets become
+    denom_c <= A and denom_r <= B, where
+    A = (1 + P/W_c) / (1 + N_c phi)^(1/kappa) and
+    B = (1 + P/W_r) / (1 + N_r phi)^(1/kappa),
+    and D_r = N_r / (1 + N_r phi) * min(B, M)^(-kappa) with M the largest
+    denom_r that any (nu, gamma) allows under denom_c <= A:
+    M = A when W_c <= W_r (witness gamma = 1, nu = 1 / min(A, B)), otherwise
+    M = 1 + (A - 1) W_c / W_r (witness gamma = 0,
+    nu = 1 - (min(M, B) - 1) W_r / P; A - 1 <= P/W_c on the domain, so M
+    never exceeds the nu = 0 value 1 + P/W_r).  Where B <= M the curve is the
+    refinement receiver's floor N_r / (1 + P/W_r)^kappa, written as one
+    constant.  At kappa = 1 this equals ``gaussian_lds_closed_form``.
+
+    D_c is a scalar (a float is returned) or an array, on the domain
+    [D_c of ``gaussian_cds``, N_c]; any element outside it raises ValueError.
+    """
+    validate_problem(problem)
+    require_two_receivers(problem)
+    P = problem.power
+    kappa = float(problem.kappa)
+    W_c, W_r = problem.noise_vars[assign.c], problem.noise_vars[assign.r]
+    N_c, N_r = problem.sideinfo_vars[assign.c], problem.sideinfo_vars[assign.r]
+    lo = gaussian_cds(problem).D[assign.c]
+    D_c = np.asarray(D_c, dtype=float)
+    _require_in_domain(
+        "D_c", D_c, (lo - RANGE_GUARD <= D_c) & (D_c <= N_c + RANGE_GUARD), f"[{lo}, {N_c}]"
+    )
+    phi = 1.0 / D_c - 1.0 / N_c
+    A = (1.0 + P / W_c) / (1.0 + N_c * phi) ** (1.0 / kappa)
+    B = (1.0 + P / W_r) / (1.0 + N_r * phi) ** (1.0 / kappa)
+    M = A if W_c <= W_r else 1.0 + (A - 1.0) * W_c / W_r
+    floor = N_r / (1.0 + P / W_r) ** kappa
+    D_r = np.where(B <= M, floor, N_r / (1.0 + N_r * phi) * M ** -kappa)
+    return _scalar_or_array(D_r)
+
+
 def gaussian_lds_dc_of_dr(
     problem: GaussianProblem, assign: RoleAssignment, D_r: float
 ) -> float:

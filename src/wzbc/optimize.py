@@ -113,10 +113,3 @@ def pareto_merge(curves) -> TradeoffCurve:
         raise ValueError("pareto_merge of an empty curve list")
     merged = [p for curve in curves for p in curve.points]
     return lower_convex_envelope(merged)
-
-
-def envelope_value(curve: TradeoffCurve, x) -> np.ndarray:
-    """Piecewise-linear envelope evaluated at x (scalar or array), clipped to range."""
-    xs = np.asarray(curve.d1())
-    ys = np.asarray(curve.d2())
-    return np.interp(np.asarray(x, dtype=float), xs, ys)

@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from wzbc import gaussian as gs
 from wzbc.cli import main
 from wzbc.core import load_problem, validate_problem
 from wzbc.gaussian import (
@@ -19,6 +21,7 @@ from wzbc.gaussian import (
 
 from test_gaussian import (
     reference_lds_closed_form,
+    reference_lds_curve,
     reference_parametric_cloud,
     reference_scheme3_closed_form,
 )
@@ -158,8 +161,8 @@ def _receiver_pair(assign, d_c, d_r):
     ],
 )
 def test_compare_gaussian_rows_equal_reference_construction(tmp_path, data, kappa):
-    # lds and scheme3 rows at resolution 301 against the full-grid reference
-    # cloud, the envelope without the sampled prefilter and scalar loops
+    # lds and scheme3 rows at resolution 301 against scalar loops of the
+    # closed forms and the envelope without the sampled prefilter
     path = tmp_path / "g.json"
     path.write_text(json.dumps({**data, "kappa": kappa}))
     out = tmp_path / "out"
@@ -183,20 +186,62 @@ def test_compare_gaussian_rows_equal_reference_construction(tmp_path, data, kapp
             for d in np.linspace(n_c * w_c / (problem.power + w_c), n_c, 301)
         ]
     else:
-        cloud = reference_parametric_cloud(problem, assign, 301, 301)
-        keep = reference_envelope_indices(cloud["d_c"], cloud["d_r"])
-        lds = [_receiver_pair(assign, cloud["d_c"][i], cloud["d_r"][i]) for i in keep]
+        # samples on [D_c of cds, N_c], then again up to the first minimiser of D_r
+        top = n_c
+        for _ in range(2):
+            d_c = np.linspace(gaussian_cds(problem).D[assign.c], top, 301)
+            d_r = np.array([reference_lds_curve(problem, assign, d) for d in d_c.tolist()])
+            top = d_c[np.argmin(d_r)]
+        x, y = _receiver_pair(assign, d_c, d_r)
+        lds = [(x[i], y[i]) for i in reference_envelope_indices(x, y)]
         scheme3 = [
             gaussian_lds_distortions(
                 problem, assign, gaussian_scheme3_rates(problem, assign, nu)
             ).D
             for nu in np.linspace(0.0, 1.0, 301)
         ]
-    for name, rows in (("lds", lds), ("scheme3", sorted(scheme3))):
-        lines = open(out / f"{name}.csv").readlines()
-        assert lines[2:] == _expected_data_lines(rows), name
+    lines = open(out / "scheme3.csv").readlines()
+    assert lines[2:] == _expected_data_lines(sorted(scheme3))
     if kappa == "1":
+        lines = open(out / "lds.csv").readlines()
+        assert lines[2:] == _expected_data_lines(lds)
         assert lds[-1][assign.c] == n_c  # the flat continuation reaches N_c
+    else:
+        # numpy's vectorized pow may differ from the scalar loop in the last bit
+        got = read_rows(out / "lds.csv")
+        assert len(got) == len(lds)
+        assert np.max(np.abs(np.array(got) - np.array(lds))) <= 1e-15
+        # an inner bound: on or below the envelope of the full-grid cloud
+        cloud = reference_parametric_cloud(problem, assign, 301, 301)
+        keep = reference_envelope_indices(cloud["d_c"], cloud["d_r"])
+        for row in got:
+            env = np.interp(row[assign.c], cloud["d_c"][keep], cloud["d_r"][keep])
+            assert row[assign.r] <= env + 1e-12
+
+
+@pytest.mark.parametrize("kappa", ["1/2", "2"])
+@pytest.mark.parametrize(
+    "P, W, N",
+    [
+        (1.0, [1.0, 0.5], [0.8, 0.4]),
+        (1.0, [2.0, 0.5], [0.3, 0.9]),
+        (1.0, [0.5, 1.0], [0.9, 0.3]),
+        (1.0, [1.0, 0.5], [0.3, 0.9]),
+    ],
+)
+def test_compare_lds_emits_at_most_one_floor_row(tmp_path, P, W, N, kappa):
+    # the refinement floor is one constant, so the envelope keeps one vertex on it
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"kind": "gaussian", "P": P, "W": W, "N": N, "kappa": kappa}))
+    out = tmp_path / "out"
+    assert main(["compare", "--problem", str(path), "--schemes", "lds",
+                 "--resolution", "1001", "--out", str(out)]) == 0
+    problem = load_problem(str(path))
+    r = choose_refinement_receiver(problem).r
+    floor = problem.sideinfo_vars[r] / (1.0 + P / problem.noise_vars[r]) ** float(problem.kappa)
+    rows = read_rows(out / "lds.csv")
+    assert sum(abs(row[r] - floor) <= 1e-12 for row in rows) <= 1
+    assert all(row[r] >= floor - 1e-15 for row in rows)
 
 
 def test_point_lds_full_power_equals_cds(gaussian_file, capsys):
@@ -259,6 +304,26 @@ def test_validate_dmc_suite_runs():
 def test_validate_tolerance_override_can_fail():
     assert main(["validate", "--suite", "dmc-consistency", "--seed", "42",
                  "--tolerance", "max-dev=1e-30"]) == 1
+
+
+def test_validate_gaussian_oracle_includes_the_exact_curve_at_kappa_half(monkeypatch, capsys):
+    # the fourth instance compares the 400x400 cloud envelope of the fixture at
+    # kappa = 1/2 with gaussian_lds_curve, and its deviation counts in the verdict
+    curve = gs.gaussian_lds_curve
+    seen = []
+
+    def spy(problem, assign, samples):
+        seen.append((problem.kappa, len(samples)))
+        return curve(problem, assign, samples)
+
+    monkeypatch.setattr(gs, "gaussian_lds_curve", spy)
+    assert main(["validate", "--suite", "gaussian-oracle", "--seed", "42"]) == 0
+    assert seen == [(Fraction(1, 2), 50)]
+    assert capsys.readouterr().out == (
+        "[PASS] gaussian-oracle: max deviation 5.066e-05 (tol 0.0001)\n"
+    )
+    monkeypatch.setattr(gs, "gaussian_lds_curve", lambda p, a, d: curve(p, a, d) + 1e-4)
+    assert main(["validate", "--suite", "gaussian-oracle", "--seed", "42"]) == 1
 
 
 def test_compare_rejects_three_receivers(tmp_path, capsys):

@@ -12,6 +12,7 @@ from wzbc.gaussian import (
     gaussian_cds,
     gaussian_lds_channel_rates,
     gaussian_lds_closed_form,
+    gaussian_lds_curve,
     gaussian_lds_dc_of_dr,
     gaussian_lds_dc_range,
     gaussian_lds_distortions,
@@ -607,3 +608,138 @@ def test_scheme3_curve_equals_scalar_loop_bitwise(kappa, common):
         ]
         assert same_bits(d_c, np.array([p.D[assign.c] for p in points]))
         assert same_bits(d_r, np.array([p.D[assign.r] for p in points]))
+
+
+def _lds_curve_targets(problem, assign, D_c):
+    """(phi, A, B, M) of the exact layered curve at D_c, in Python float arithmetic."""
+    P = problem.power
+    kappa = float(problem.kappa)
+    W_c, W_r = problem.noise_vars[assign.c], problem.noise_vars[assign.r]
+    N_c, N_r = problem.sideinfo_vars[assign.c], problem.sideinfo_vars[assign.r]
+    phi = 1.0 / float(D_c) - 1.0 / N_c
+    A = (1.0 + P / W_c) / (1.0 + N_c * phi) ** (1.0 / kappa)
+    B = (1.0 + P / W_r) / (1.0 + N_r * phi) ** (1.0 / kappa)
+    M = A if W_c <= W_r else 1.0 + (A - 1.0) * W_c / W_r
+    return phi, A, B, M
+
+
+def reference_lds_curve(problem, assign, D_c):
+    """The exact layered curve in Python float arithmetic, one point per call."""
+    kappa = float(problem.kappa)
+    W_r, N_r = problem.noise_vars[assign.r], problem.sideinfo_vars[assign.r]
+    phi, _, B, M = _lds_curve_targets(problem, assign, D_c)
+    if B <= M:
+        return N_r / (1.0 + problem.power / W_r) ** kappa
+    return N_r / (1.0 + N_r * phi) * M ** -kappa
+
+
+def lds_curve_witness(problem, assign, D_c):
+    """GaussianLdsParams attaining the exact layered curve at D_c: gamma = 1 and
+    nu = 1 / min(A, B) when W_c <= W_r, gamma = 0 and nu = 1 - (min(M, B) - 1) W_r / P
+    otherwise (nu clipped to [0, 1] against rounding at the ends)."""
+    W_c, W_r = problem.noise_vars[assign.c], problem.noise_vars[assign.r]
+    _, A, B, M = _lds_curve_targets(problem, assign, D_c)
+    if W_c <= W_r:
+        return GaussianLdsParams(min(1.0, 1.0 / min(A, B)), 1.0)
+    return GaussianLdsParams(
+        min(1.0, max(0.0, 1.0 - (min(M, B) - 1.0) * W_r / problem.power)), 0.0
+    )
+
+
+# (P, W, N): common receiver 1 or 2, W_c above, below and equal to W_r at every kappa
+LDS_CURVE_BASES = [
+    (1.0, (1.0, 0.5), (0.8, 0.4)),
+    (1.0, (2.0, 0.5), (0.3, 0.9)),
+    (1.0, (0.5, 1.0), (0.9, 0.3)),
+    (1.0, (0.5, 2.0), (0.6, 0.2)),
+    (1.0, (1.0, 0.5), (0.3, 0.9)),
+    (1.0, (1.0, 1.0), (0.7, 0.3)),
+    (2.7, (0.4, 3.1), (0.5, 0.95)),
+    (0.6, (3.5, 0.3), (0.15, 0.85)),
+]
+
+
+def lds_curve_problems(kappa):
+    """(problem, assign, D_c samples on [D_c of cds, N_c]) for every base problem."""
+    out = []
+    for P, W, N in LDS_CURVE_BASES:
+        problem = GaussianProblem(P, W, N, kappa)
+        assign = choose_refinement_receiver(problem)
+        d_c = np.linspace(gaussian_cds(problem).D[assign.c], N[assign.c], 401)
+        out.append((problem, assign, d_c))
+    orders = {p.noise_vars[a.c] <= p.noise_vars[a.r] for p, a, _ in out}
+    assert orders == {True, False}
+    return out
+
+
+LDS_CURVE_KAPPAS = ["1/3", "1/2", "2/3", "2"]
+
+
+@pytest.mark.parametrize("kappa", LDS_CURVE_KAPPAS + ["1"])
+def test_lds_curve_at_or_below_every_cloud_cell(kappa):
+    for problem, assign, _ in lds_curve_problems(kappa):
+        cloud = lds_parametric_cloud(problem, assign, 200, 200)
+        d_r = gaussian_lds_curve(problem, assign, cloud["d_c"])
+        assert np.max(d_r - cloud["d_r"]) <= 1e-12
+
+
+def test_lds_curve_equals_closed_form_at_unit_bandwidth():
+    rng = np.random.default_rng(31)
+    bases = LDS_CURVE_BASES + [
+        (float(rng.uniform(0.5, 4)), tuple(rng.uniform(0.25, 4, 2)), tuple(rng.uniform(0.1, 1, 2)))
+        for _ in range(12)
+    ]
+    for P, W, N in bases:
+        problem = GaussianProblem(P, W, N, 1)
+        assign = choose_refinement_receiver(problem)
+        dmin, dmax = gaussian_lds_dc_range(problem, assign)
+        d_c = np.linspace(dmin, dmax, 301)
+        closed = gaussian_lds_closed_form(problem, assign, d_c)
+        assert np.max(np.abs(gaussian_lds_curve(problem, assign, d_c) - closed)) <= 1e-12
+        # past d_max the curve is the floor that --extend-flat continues with
+        d_c = np.linspace(dmin, N[assign.c], 301)
+        flat = gaussian_lds_closed_form(problem, assign, d_c, extend_flat=True)
+        assert np.max(np.abs(gaussian_lds_curve(problem, assign, d_c) - flat)) <= 1e-12
+
+
+@pytest.mark.parametrize("kappa", LDS_CURVE_KAPPAS + ["1"])
+def test_lds_curve_points_have_witnesses(kappa):
+    # every sample, so every vertex that compare emits, is attained by its
+    # (nu, gamma) through the channel rates and the distortion map
+    for problem, assign, d_c in lds_curve_problems(kappa):
+        d_r = gaussian_lds_curve(problem, assign, d_c)
+        for dc, dr in zip(d_c.tolist(), d_r.tolist()):
+            params = lds_curve_witness(problem, assign, dc)
+            rates = gaussian_lds_channel_rates(problem, assign, params)
+            assert not rates.clamped
+            point = gaussian_lds_distortions(problem, assign, rates)
+            assert point.D[assign.c] == pytest.approx(dc, abs=1e-12)
+            assert point.D[assign.r] == pytest.approx(dr, abs=1e-12)
+
+
+@pytest.mark.parametrize("kappa", LDS_CURVE_KAPPAS)
+def test_lds_curve_matches_scalar_reference_and_has_one_flat_tail(kappa):
+    for problem, assign, d_c in lds_curve_problems(kappa):
+        d_r = gaussian_lds_curve(problem, assign, d_c)
+        ref = np.array([reference_lds_curve(problem, assign, d) for d in d_c.tolist()])
+        assert np.max(np.abs(d_r - ref)) <= 1e-15
+        floor = gaussian_trivial_converse(problem)[assign.r]
+        assert np.all(d_r >= floor)
+        # the refinement receiver's floor is one constant tail that reaches N_c
+        at_floor = np.flatnonzero(np.abs(d_r - floor) <= 1e-12)
+        assert np.array_equal(at_floor, np.arange(at_floor[0], d_r.size))
+        assert np.all(d_r[at_floor] == d_r[-1])
+
+
+def test_lds_curve_domain_and_scalar_type():
+    assign = choose_refinement_receiver(P_A)
+    problem = GaussianProblem(P_A.power, P_A.noise_vars, P_A.sideinfo_vars, "1/2")
+    lo, hi = gaussian_cds(problem).D[assign.c], problem.sideinfo_vars[assign.c]
+    for d in (lo, 0.6, np.float64(0.6), np.array(0.6), hi):
+        assert type(gaussian_lds_curve(problem, assign, d)) is float
+    d_c = np.linspace(lo, hi, 11)
+    for bad in (lo - 1e-6, hi + 1e-6):
+        probe = d_c.copy()
+        probe[5] = bad
+        with pytest.raises(ValueError, match=f"D_c = {bad} outside"):
+            gaussian_lds_curve(problem, assign, probe)

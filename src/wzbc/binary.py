@@ -69,6 +69,7 @@ from .core import (
     RateTriple,
     RoleAssignment,
     TradeoffCurve,
+    BLOCK_CELLS,
     RATE_CLAMP_EPS,
     bad_good_labels,
     parse_kappa,
@@ -80,10 +81,6 @@ from .infotheory import binary_convolution, binary_entropy, wz_rate_kernel
 from .optimize import lower_envelope_indices
 
 FEAS_TOL = 1e-12
-# pairs per block of the layered best-tuple query ((cell, tuple) pairs) and of
-# the last-layer alpha passes ((cell, alpha) pairs): bounds the sweeps' working
-# arrays to a few hundred kilobytes
-_CHUNK_CELLS = 2**14
 
 
 class TChoice(enum.Enum):
@@ -368,8 +365,8 @@ def _lds_refinement_search(problem, assign, resolution, rates):
     in the budget, so of the tuples whose R_cc and R_cr admit a cell, one with
     the largest R_rr attains the cell's best D_r.  Each cell therefore takes
     the first admitting tuple in a stable R_rr-descending order, found by an
-    argmax over blocks of at most _CHUNK_CELLS (cell, tuple) pairs.  Then the
-    best alpha_r of every cell is taken over blocks of at most _CHUNK_CELLS
+    argmax over blocks of at most BLOCK_CELLS (cell, tuple) pairs.  Then the
+    best alpha_r of every cell is taken over blocks of at most BLOCK_CELLS
     (cell, alpha_r) pairs.  Every candidate is bounds-checked and the
     candidates are reduced to their envelope vertices.  Returns (D, idx, q_r):
     D is a (2, m) array of receiver-order distortions, idx an (m, 4) array of
@@ -386,7 +383,7 @@ def _lds_refinement_search(problem, assign, resolution, rates):
     cap_c = rates[order, 0] + FEAS_TOL
     cap_r = rates[order, 1] + FEAS_TOL
     first = np.empty(res * res, dtype=np.int64)  # position in order, -1 when none admits
-    step = max(1, _CHUNK_CELLS // order.size)
+    step = max(1, BLOCK_CELLS // order.size)
     for start in range(0, res * res, step):
         fits = src_c[start : start + step, None] <= cap_c
         fits &= src_r[start : start + step, None] <= cap_r
@@ -400,7 +397,7 @@ def _lds_refinement_search(problem, assign, resolution, rates):
     described = r_r > 0.0  # alpha_r < beta_r: q_r is bounded by the budget
     ar = np.empty(cell.size, dtype=np.int64)
     qr = np.empty(cell.size)
-    step = max(1, _CHUNK_CELLS // res)
+    step = max(1, BLOCK_CELLS // res)
     for start in range(0, cell.size, step):
         blk = slice(start, start + step)
         b = budget[blk, None]
@@ -632,7 +629,7 @@ def binary_separate_region(problem: BinaryProblem, resolution: int = 41) -> Trad
     gain = beta_g - np.minimum(alphas, beta_g)  # d_g = beta_g - q_g * gain
     ag_i = np.empty(cell.size, dtype=np.int64)
     q_g = np.empty(cell.size)
-    step = max(1, _CHUNK_CELLS // res)
+    step = max(1, BLOCK_CELLS // res)
     for start in range(0, cell.size, step):
         blk = slice(start, start + step)
         q_b = qs[qb_i[blk], None]

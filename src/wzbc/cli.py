@@ -29,6 +29,7 @@ import numpy as np
 from . import binary as bn
 from . import gaussian as gs
 from .core import (
+    BLOCK_CELLS,
     BinaryProblem,
     GaussianProblem,
     InvalidProblem,
@@ -61,16 +62,12 @@ def _threads() -> int:
     return threads
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_csv(path, scheme, params, rows):
+    # "%.17g" formats float(x), so numpy floats and Fractions print as floats
+    body = "".join("%.17g,%.17g\n" % (d1, d2) for d1, d2 in rows)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# scheme={scheme}, params={params}\n")
-        fh.write("# columns=D1,D2\n")
-        for d1, d2 in rows:
-            fh.write(f"{_fmt(d1)},{_fmt(d2)}\n")
+        fh.write(f"# scheme={scheme}, params={params}\n# columns=D1,D2\n")
+        fh.write(body)
 
 
 def _curve_rows(curve: TradeoffCurve):
@@ -288,6 +285,22 @@ def _suite_gaussian_ordering(tol, seed):
     return _report("gaussian-ordering", worst <= tol, f"max violation {worst:.3e} (tol {tol:g})")
 
 
+def _brute_wz_distortion(beta, rate, count=800):
+    """Smallest q*alpha + (1-q)*beta over the count x count grid of q in [0, 1]
+    and alpha in [0, beta] with q*r(alpha, beta) <= rate, in blocks of q rows
+    of at most BLOCK_CELLS cells."""
+    qs = np.linspace(0.0, 1.0, count)
+    alphas = np.linspace(0.0, beta, count)
+    r = wz_rate_kernel(alphas, beta)
+    rows = max(1, BLOCK_CELLS // count)
+    best = math.inf  # the q = 0 row is always feasible
+    for lo in range(0, count, rows):
+        q = qs[lo:lo + rows, None]
+        d = q * alphas + (1.0 - q) * beta
+        best = min(best, float(np.min(d, initial=math.inf, where=q * r <= rate)))
+    return best
+
+
 def _suite_binary_oracle(tol, seed):
     """Point-to-point value vs 2-D brute force and the pinned sub-grid equality."""
     rng = np.random.default_rng(seed)
@@ -295,12 +308,7 @@ def _suite_binary_oracle(tol, seed):
     for _ in range(5):
         beta = float(rng.uniform(0.05, 0.5))
         rate = float(rng.uniform(0.0, 1.0))
-        qs = np.linspace(0.0, 1.0, 800)
-        alphas = np.linspace(0.0, beta, 800)
-        r = wz_rate_kernel(alphas, beta)
-        feas = np.outer(qs, r) <= rate
-        d = qs[:, None] * alphas[None, :] + (1.0 - qs[:, None]) * beta
-        brute = float(d[feas].min())
+        brute = _brute_wz_distortion(beta, rate)
         val = bn.binary_wz_distortion(beta, rate)
         worst = max(worst, abs(brute - val))
     problem = BinaryProblem((0.05, 0.1), (0.2, 0.1), Fraction(1))

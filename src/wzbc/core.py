@@ -19,6 +19,9 @@ import numpy as np
 
 
 RATE_CLAMP_EPS = 1e-12  # rates below -RATE_CLAMP_EPS are materially negative
+# elements per block of a blocked grid pass: bounds its working arrays to a
+# few hundred kilobytes
+BLOCK_CELLS = 2**14
 
 
 class InvalidProblem(ValueError):

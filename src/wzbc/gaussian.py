@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BLOCK_CELLS,
     DistortionPoint,
     GaussianProblem,
     RateTriple,
@@ -516,12 +517,13 @@ def lds_parametric_cloud(
     in row-major (nu, gamma) order.  When no kept cell has nu = 0 the nu = 0
     limit corner (gamma forced to 0) is appended.
 
-    The grid is compacted as it is evaluated: R_cc is computed on every cell,
-    R_cr only on the cells that pass the R_cc test, and R_rr and the
-    distortions only on the cells that pass both.  Terms of one axis are
-    computed once per row or column and broadcast, so every cell value comes
-    from the same elementwise expression on the same floats as on a full
-    meshgrid.
+    The grid is evaluated in blocks of nu rows of at most BLOCK_CELLS cells
+    (one row when a row is wider) and compacted as it is evaluated: R_cc is
+    computed on every cell, R_cr only on the cells that pass the R_cc test,
+    and R_rr and the distortions only on the cells that pass both.  Terms of
+    one axis are computed once per row or column and broadcast, so every cell
+    value comes from the same elementwise expression on the same floats as on
+    a full meshgrid.
     """
     validate_problem(problem)
     require_two_receivers(problem)
@@ -531,36 +533,46 @@ def lds_parametric_cloud(
     N_c, N_r = problem.sideinfo_vars[assign.c], problem.sideinfo_vars[assign.r]
     nu = np.linspace(0.0, 1.0, nu_count)
     gamma = np.linspace(gamma_lo, gamma_hi, gamma_count)
+    nu_p = nu * P
     nubar_p = (1.0 - nu) * P
+    gamma_sq = gamma * gamma
+    gap_c = (1.0 - gamma) ** 2 / W_c
+    gap_r = (1.0 - gamma) ** 2 / W_r
+    dpc_nu0 = np.where(gamma == 0, 0.0, np.inf)  # nu = 0: only the gamma = 0 limit
+    rows = max(1, BLOCK_CELLS // gamma_count)
+    blocks = []  # (d_c, d_r, nu, gamma) of the kept cells of each block
     with np.errstate(divide="ignore", invalid="ignore"):
-        dpc = (gamma * gamma)[None, :] / (nu * P)[:, None]
-        dpc[nu == 0] = np.where(gamma == 0, 0.0, np.inf)  # nu = 0: only the gamma = 0 limit
-        denom_c = 1.0 + nubar_p[:, None] * (dpc + ((1.0 - gamma) ** 2 / W_c)[None, :])
-        r_cc = 0.5 * np.log2((1.0 + P / W_c) / denom_c)
-        # skip materially clamped cells; boundary noise is snapped to 0 below
-        kept = np.flatnonzero(np.isfinite(dpc) & (r_cc >= -RANGE_GUARD))
-        row, col = np.divmod(kept, gamma_count)
-        dpc, r_cc = dpc.ravel()[kept], r_cc.ravel()[kept]
-        denom_r = 1.0 + nubar_p[row] * (dpc + ((1.0 - gamma) ** 2 / W_r)[col])
-        r_cr = 0.5 * np.log2((1.0 + P / W_r) / denom_r)
-        ok = np.flatnonzero(r_cr >= -RANGE_GUARD)
-        row, col, r_cc, r_cr, denom_r = row[ok], col[ok], r_cc[ok], r_cr[ok], denom_r[ok]
-        # the four outputs are written in place, with a spare column for the corner
-        cloud = np.empty((4, ok.size + 1))
-        d_c, d_r, nu_kept, gamma_kept = cloud[:, :-1]
-        np.take(nu, row, out=nu_kept)
-        np.take(gamma, col, out=gamma_kept)
-        r_rr = 0.5 * np.log2(denom_r)
-        r_cc = np.maximum(r_cc, 0.0)
-        r_cr = np.maximum(r_cr, 0.0)
-        r_rr = np.maximum(r_rr, 0.0)
-        phi = np.minimum(
-            (2.0 ** (2.0 * kappa * r_cc) - 1.0) / N_c,
-            (2.0 ** (2.0 * kappa * r_cr) - 1.0) / N_r,
-        )
-        np.divide(N_c, 1.0 + N_c * phi, out=d_c)
-        np.multiply(N_r / (1.0 + N_r * phi), 2.0 ** (-2.0 * kappa * r_rr), out=d_r)
-    if np.any(nu_kept == 0.0):
+        for lo in range(0, nu_count, rows):
+            block = slice(lo, lo + rows)
+            dpc = gamma_sq[None, :] / nu_p[block, None]
+            dpc[nu[block] == 0] = dpc_nu0
+            denom_c = 1.0 + nubar_p[block, None] * (dpc + gap_c[None, :])
+            r_cc = 0.5 * np.log2((1.0 + P / W_c) / denom_c)
+            # skip materially clamped cells; boundary noise is snapped to 0 below
+            kept = np.isfinite(dpc) & (r_cc >= -RANGE_GUARD)
+            row, col = np.nonzero(kept)
+            row += lo
+            dpc, r_cc = dpc[kept], r_cc[kept]
+            denom_r = 1.0 + nubar_p[row] * (dpc + gap_r[col])
+            r_cr = 0.5 * np.log2((1.0 + P / W_r) / denom_r)
+            ok = r_cr >= -RANGE_GUARD
+            row, col, r_cc, r_cr, denom_r = row[ok], col[ok], r_cc[ok], r_cr[ok], denom_r[ok]
+            r_rr = 0.5 * np.log2(denom_r)
+            r_cc = np.maximum(r_cc, 0.0)
+            r_cr = np.maximum(r_cr, 0.0)
+            r_rr = np.maximum(r_rr, 0.0)
+            phi = np.minimum(
+                (2.0 ** (2.0 * kappa * r_cc) - 1.0) / N_c,
+                (2.0 ** (2.0 * kappa * r_cr) - 1.0) / N_r,
+            )
+            d_c = N_c / (1.0 + N_c * phi)
+            d_r = N_r / (1.0 + N_r * phi) * 2.0 ** (-2.0 * kappa * r_rr)
+            blocks.append((d_c, d_r, nu[row], gamma[col]))
+    # the four outputs, with a spare column for the corner
+    cloud = np.empty((4, sum(b[0].size for b in blocks) + 1))
+    for k, out in enumerate(cloud[:, :-1]):
+        np.concatenate([b[k] for b in blocks], out=out)
+    if np.any(cloud[2, :-1] == 0.0):
         cloud = cloud[:, :-1]
     else:
         # gamma grid lacks 0: append the nu = 0 limit corner (gamma forced to 0)

@@ -5,11 +5,18 @@ fixed-size batches; the stream for (receiver k, batch j) is seeded with
 SeedSequence(seed, spawn_key=(k, j)), and batch statistics are reduced in
 batch-index order, so results are bit-identical regardless of how many
 worker threads execute the batches.
+
+All batches of all receivers of one simulation run on one pool.  Each
+worker allocates its float64 work buffers once, min(BATCH_SPAN, samples)
+long, and every batch draws into them with ``out=`` and does its arithmetic
+in place, in the order of the elementwise expressions it implements.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -20,6 +27,11 @@ from .core import BinaryProblem, GaussianProblem, validate_problem
 BATCH_SPAN = 1 << 18
 
 
+def _require_int(name: str, value, least: int):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Sample budget and master seed for one simulation run."""
@@ -28,8 +40,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        _require_int("samples", self.samples, 1)
+        _require_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -60,25 +72,48 @@ def _rng(seed: int, stream: int, batch: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream, batch))))
 
 
-def _reduce_batches(cfg: SimConfig, stream: int, batch_fn, threads: int = 1):
-    """Sum (total, total_sq, n) over batches in batch order; batch_fn(rng, n)."""
-    jobs = list(_batches(cfg.samples))
+def _reduce_batches(cfg: SimConfig, batch_fns, buffers: int, threads: int = 1) -> MCEstimate:
+    """Estimate of every stream, all batches of all streams on one pool.
+
+    batch_fns[k](rng, work) returns (total, total_sq) of one batch of stream
+    k, drawn into and computed in ``work``: ``buffers`` float64 arrays of the
+    batch length, views of the running worker's own buffers.  Batch sums are
+    reduced in batch order.
+    """
+    span = min(BATCH_SPAN, cfg.samples)
+    batches = list(_batches(cfg.samples))
+    jobs = [(k, index, n) for k in range(len(batch_fns)) for index, n in batches]
+    local = threading.local()
 
     def run(job):
-        index, n = job
-        return batch_fn(_rng(cfg.seed, stream, index), n)
+        k, index, n = job
+        work = getattr(local, "work", None)
+        if work is None:
+            work = local.work = [np.empty(span) for _ in range(buffers)]
+        return batch_fns[k](_rng(cfg.seed, k, index), [b[:n] for b in work])
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(jobs))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, jobs))
     else:
         parts = [run(job) for job in jobs]
-    total = math.fsum(p[0] for p in parts)
-    total_sq = math.fsum(p[1] for p in parts)
     n = cfg.samples
-    mean = total / n
-    var = max(0.0, total_sq / n - mean * mean)
-    return mean, math.sqrt(var / n)
+    means, errs = [], []
+    for start in range(0, len(parts), len(batches)):
+        stream = parts[start:start + len(batches)]
+        mean = math.fsum(p[0] for p in stream) / n
+        var = max(0.0, math.fsum(p[1] for p in stream) / n - mean * mean)
+        means.append(mean)
+        errs.append(math.sqrt(var / n))
+    return MCEstimate(mean=tuple(means), stderr=tuple(errs), samples=n)
+
+
+def _square_sums(se) -> tuple:
+    """(sum of se**2, sum of se**4), squaring se in place."""
+    np.square(se, out=se)
+    total = float(se.sum())
+    return total, float(np.square(se, out=se).sum())
 
 
 def simulate_uncoded_gaussian(
@@ -95,24 +130,29 @@ def simulate_uncoded_gaussian(
         raise ValueError("uncoded requires bandwidth match (kappa = 1), got "
                          f"kappa = {problem.kappa}")
     P = problem.power
-    means, errs = [], []
-    for k, (W, N) in enumerate(zip(problem.noise_vars, problem.sideinfo_vars)):
+    batch_fns = []
+    for W, N in zip(problem.noise_vars, problem.sideinfo_vars):
         rho = math.sqrt(1.0 - N)
         det = P * N + W
         a = math.sqrt(P) * N / det
         b = rho * W / det
 
-        def batch(rng, n, W=W, N=N, rho=rho, a=a, b=b):
-            x = rng.standard_normal(n)
-            v = math.sqrt(P) * x + math.sqrt(W) * rng.standard_normal(n)
-            y = rho * x + math.sqrt(N) * rng.standard_normal(n)
-            se = (x - (a * v + b * y)) ** 2
-            return float(se.sum()), float((se * se).sum())
+        def batch(rng, work, W=W, N=N, rho=rho, a=a, b=b):
+            # x = X, v = sqrt(P) X + sqrt(W) Z_v, y = rho X + sqrt(N) Z_y,
+            # se = (x - (a v + b y)) ** 2
+            x, v, y, z = work
+            rng.standard_normal(out=x)
+            np.multiply(math.sqrt(P), x, out=v)
+            v += np.multiply(math.sqrt(W), rng.standard_normal(out=z), out=z)
+            np.multiply(rho, x, out=y)
+            y += np.multiply(math.sqrt(N), rng.standard_normal(out=z), out=z)
+            v *= a
+            y *= b
+            v += y
+            return _square_sums(np.subtract(x, v, out=x))
 
-        mean, err = _reduce_batches(cfg, k, batch, threads)
-        means.append(mean)
-        errs.append(err)
-    return MCEstimate(mean=tuple(means), stderr=tuple(errs), samples=cfg.samples)
+        batch_fns.append(batch)
+    return _reduce_batches(cfg, batch_fns, 4, threads)
 
 
 def simulate_uncoded_binary(
@@ -127,22 +167,22 @@ def simulate_uncoded_binary(
     if problem.kappa != 1:
         raise ValueError("uncoded requires bandwidth match (kappa = 1), got "
                          f"kappa = {problem.kappa}")
-    means, errs = [], []
-    for k, (p, beta) in enumerate(zip(problem.crossovers, problem.sideinfo_crossovers)):
-        use_channel = p <= beta
+    batch_fns = []
+    for p, beta in zip(problem.crossovers, problem.sideinfo_crossovers):
 
-        def batch(rng, n, p=p, beta=beta, use_channel=use_channel):
-            x = rng.integers(0, 2, size=n, dtype=np.int8)
-            v = x ^ (rng.random(n) < p)
-            y = x ^ (rng.random(n) < beta)
-            xhat = v if use_channel else y
-            errors = float(np.count_nonzero(xhat != x))  # exact: counts stay below 2**53
-            return errors, errors  # err^2 == err for 0/1 values
+        def batch(rng, work, p=p, beta=beta):
+            # x ^ e differs from x exactly where e is set, so the decoder errs
+            # where the flip of its chosen observation is set
+            (u,) = work
+            rng.integers(0, 2, size=u.size, dtype=np.int8)  # x
+            rng.random(out=u)  # flips of v
+            if p > beta:
+                rng.random(out=u)  # flips of y
+            errors = float(np.count_nonzero(np.less(u, min(p, beta), out=u)))
+            return errors, errors  # exact: counts stay below 2**53; err^2 == err
 
-        mean, err = _reduce_batches(cfg, k, batch, threads)
-        means.append(mean)
-        errs.append(err)
-    return MCEstimate(mean=tuple(means), stderr=tuple(errs), samples=cfg.samples)
+        batch_fns.append(batch)
+    return _reduce_batches(cfg, batch_fns, 1, threads)
 
 
 def simulate_gaussian_wz_estimator(
@@ -164,14 +204,19 @@ def simulate_gaussian_wz_estimator(
     zv = 1.0 - S_var
     denom = 1.0 - rho * rho * zv
 
-    def batch(rng, n):
-        z = math.sqrt(zv) * rng.standard_normal(n)
-        s = math.sqrt(S_var) * rng.standard_normal(n)
-        x = z + s
-        y = rho * x + math.sqrt(N) * rng.standard_normal(n)
-        xhat = (N * z + rho * S_var * y) / denom
-        se = (x - xhat) ** 2
-        return float(se.sum()), float((se * se).sum())
+    def batch(rng, work):
+        # z = sqrt(1 - S_var) Z, s = sqrt(S_var) S, x = z + s,
+        # y = rho x + sqrt(N) Z_y, se = (x - (N z + rho S_var y) / denom) ** 2
+        z, s, x, y = work
+        np.multiply(math.sqrt(zv), rng.standard_normal(out=z), out=z)
+        np.multiply(math.sqrt(S_var), rng.standard_normal(out=s), out=s)
+        np.add(z, s, out=x)
+        np.multiply(rho, x, out=y)
+        y += np.multiply(math.sqrt(N), rng.standard_normal(out=s), out=s)
+        z *= N
+        y *= rho * S_var
+        z += y
+        z /= denom
+        return _square_sums(np.subtract(x, z, out=x))
 
-    mean, err = _reduce_batches(cfg, 0, batch, threads)
-    return MCEstimate(mean=(mean,), stderr=(err,), samples=cfg.samples)
+    return _reduce_batches(cfg, [batch], 4, threads)

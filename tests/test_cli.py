@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from wzbc import gaussian as gs
-from wzbc.cli import main
+from wzbc.cli import _brute_wz_distortion, _write_csv, main
 from wzbc.core import load_problem, validate_problem
 from wzbc.gaussian import (
     choose_refinement_receiver,
@@ -18,6 +18,7 @@ from wzbc.gaussian import (
     gaussian_lds_distortions,
     gaussian_scheme3_rates,
 )
+from wzbc.infotheory import wz_rate_kernel
 
 from test_gaussian import (
     reference_lds_closed_form,
@@ -374,6 +375,48 @@ MC_LINES = {
         "binary (0.04973, 0.09977) (threshold 4 stderr)",
 }
 
+BINARY_ORACLE_LINES = {
+    1: "[PASS] binary-oracle: max deviation 1.073e-05 (tol 0.001); sub-grid equality True",
+    13: "[PASS] binary-oracle: max deviation 3.903e-04 (tol 0.001); sub-grid equality True",
+    42: "[PASS] binary-oracle: max deviation 2.691e-04 (tol 0.001); sub-grid equality True",
+}
+GAUSSIAN_ORACLE_LINES = {
+    seed: "[PASS] gaussian-oracle: max deviation 5.066e-05 (tol 0.0001)" for seed in (1, 13, 42)
+}
+
+
+@pytest.mark.parametrize(
+    "suite, seed, line",
+    [("binary-oracle", seed, line) for seed, line in sorted(BINARY_ORACLE_LINES.items())]
+    + [("gaussian-oracle", seed, line) for seed, line in sorted(GAUSSIAN_ORACLE_LINES.items())],
+)
+def test_validate_oracle_printed_line_is_unchanged(capsys, suite, seed, line):
+    assert main(["validate", "--suite", suite, "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
+def whole_grid_wz_distortion(beta, rate):
+    """The brute force as one 800 x 800 grid: the blocked oracle must equal it."""
+    qs = np.linspace(0.0, 1.0, 800)
+    alphas = np.linspace(0.0, beta, 800)
+    r = wz_rate_kernel(alphas, beta)
+    feas = np.outer(qs, r) <= rate
+    d = qs[:, None] * alphas[None, :] + (1.0 - qs[:, None]) * beta
+    return float(d[feas].min())
+
+
+@pytest.mark.parametrize("seed", sorted(BINARY_ORACLE_LINES))
+def test_blocked_brute_force_equals_whole_grid(seed):
+    rng = np.random.default_rng(seed)  # the suite's draws
+    for _ in range(5):
+        beta = float(rng.uniform(0.05, 0.5))
+        rate = float(rng.uniform(0.0, 1.0))
+        assert _brute_wz_distortion(beta, rate) == whole_grid_wz_distortion(beta, rate)
+    # rate 0 leaves only the q = 0 row; a rate above every r(alpha) admits the
+    # whole grid, so the minimum is the q = 1, alpha = 0 corner
+    assert _brute_wz_distortion(0.3, 0.0) == whole_grid_wz_distortion(0.3, 0.0) == 0.3
+    assert _brute_wz_distortion(0.3, 2.0) == whole_grid_wz_distortion(0.3, 2.0) == 0.0
+
 
 @pytest.mark.parametrize("seed", sorted(DMC_LINES))
 def test_validate_dmc_printed_line_is_unchanged(capsys, seed):
@@ -413,3 +456,14 @@ def test_validate_bad_tolerance_is_usage_error(capsys, suite, item, message):
 
 def test_validate_zero_tolerance_is_accepted():
     assert main(["validate", "--suite", "dmc-consistency", "--tolerance", "max-dev=0"]) == 1
+
+
+def test_csv_rows_print_float_of_every_value(tmp_path):
+    # np.float64, Fraction, int and 0-d array values print as format(float(x), ".17g")
+    rows = [(np.float64(1 / 3), Fraction(2, 3)), (1, np.array(0.1)), (0.0, 1e-300)]
+    path = tmp_path / "x.csv"
+    _write_csv(path, "lds", "m", rows)
+    expected = "# scheme=lds, params=m\n# columns=D1,D2\n" + "".join(
+        f"{format(float(a), '.17g')},{format(float(b), '.17g')}\n" for a, b in rows
+    )
+    assert path.read_text(encoding="utf-8") == expected

@@ -497,7 +497,8 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# (nu_count, gamma_count, gamma_lo, gamma_hi, gamma grid holds 0)
+# (nu_count, gamma_count, gamma_lo, gamma_hi, gamma grid holds 0); the last
+# two rows are wider than one BLOCK_CELLS block, so each block is one row
 CLOUD_GRIDS = [
     (400, 400, -1.0, 2.0, True),
     (401, 401, -1.0, 2.0, False),
@@ -505,6 +506,8 @@ CLOUD_GRIDS = [
     (401, 121, -1.0, 2.0, True),
     (200, 201, -0.5, 1.5, True),
     (201, 200, -0.5, 1.5, False),
+    (3, 20001, -1.0, 2.0, False),
+    (2, 30001, -1.0, 2.0, True),
 ]
 
 

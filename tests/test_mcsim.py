@@ -1,9 +1,13 @@
+import sys
+
+import numpy as np
 import pytest
 
 from wzbc.core import BinaryProblem, GaussianProblem
 from wzbc.gaussian import gaussian_uncoded
 from wzbc.binary import binary_uncoded
 from wzbc.mcsim import (
+    BATCH_SPAN,
     SimConfig,
     simulate_gaussian_wz_estimator,
     simulate_uncoded_binary,
@@ -76,6 +80,20 @@ def test_determinism_across_runs_and_threads():
     assert different_seed != a
 
 
+def test_shared_pool_with_more_workers_than_cores_matches_one_thread():
+    # 14 batches on 8 workers with frequent thread switches: a work buffer
+    # shared between two workers would corrupt a batch
+    cfg = SimConfig(6 * BATCH_SPAN + 3, 5)
+    expected = simulate_uncoded_gaussian(GAUSSIAN, cfg, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = simulate_uncoded_gaussian(GAUSSIAN, cfg, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+
+
 def test_convergence_rate():
     # quadrupling the sample count halves the standard error, within 20%
     ratios = []
@@ -90,6 +108,30 @@ def test_convergence_rate():
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(samples=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"samples": -5}, "samples"),
+        ({"samples": True}, "samples"),
+        ({"samples": 1000.5}, "samples"),
+        ({"samples": 1000.0}, "samples"),
+        ({"samples": "1000"}, "samples"),
+        ({"samples": 1000, "seed": -1}, "seed"),
+        ({"samples": 1000, "seed": 1.5}, "seed"),
+        ({"samples": 1000, "seed": False}, "seed"),
+        ({"samples": 1000, "seed": None}, "seed"),
+    ],
+)
+def test_sim_config_rejects_bad_values_naming_the_field(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        SimConfig(**kwargs)
+
+
+def test_sim_config_accepts_integers():
+    assert SimConfig(1).seed == 0
+    assert SimConfig(np.int64(1000), np.int64(7)) == SimConfig(1000, 7)
 
 
 # estimates from the former float-array error sum; the integer count must
@@ -109,3 +151,46 @@ def test_uncoded_binary_estimate_is_pinned(seed, threads):
     mean, stderr = BINARY_ESTIMATES[seed]
     assert tuple(m.hex() for m in est.mean) == mean
     assert tuple(s.hex() for s in est.stderr) == stderr
+
+
+# float.hex of every (mean, stderr) from the former per-receiver pools, which
+# drew every batch into fresh arrays; 10**6 + 17 samples end in a partial
+# batch and 1000 lie below BATCH_SPAN.  Receiver 1 of SIDE_BINARY (p > beta)
+# decodes from its side information, receiver 0 from the channel.
+SIDE_BINARY = BinaryProblem(crossovers=(0.05, 0.3), sideinfo_crossovers=(0.2, 0.1), kappa=1)
+GOLDEN_RUNS = {
+    "gaussian": lambda cfg, threads: simulate_uncoded_gaussian(GAUSSIAN, cfg, threads),
+    "binary": lambda cfg, threads: simulate_uncoded_binary(SIDE_BINARY, cfg, threads),
+    "wz": lambda cfg, threads: simulate_gaussian_wz_estimator(0.4, 1 / 3, cfg, threads),
+}
+GOLDEN_ESTIMATES = {
+    ("gaussian", 10**6 + 17): (
+        ("0x1.c892f08b902cfp-2", "0x1.c6613d0dd683bp-3"),
+        ("0x1.4ab531f00c115p-11", "0x1.49472f7723dc7p-12"),
+    ),
+    ("gaussian", 1000): (
+        ("0x1.b25f25d4cc7d8p-2", "0x1.cdedcc9b6e11dp-3"),
+        ("0x1.331491ea626d4p-6", "0x1.434bc2854f857p-7"),
+    ),
+    ("binary", 10**6 + 17): (
+        ("0x1.9767e32bb9297p-5", "0x1.99cf641ad3cb4p-4"),
+        ("0x1.c7e5f00c0f46bp-13", "0x1.3aa44f3e62207p-12"),
+    ),
+    ("binary", 1000): (
+        ("0x1.6872b020c49bap-5", "0x1.c28f5c28f5c29p-4"),
+        ("0x1.a90b989256b50p-8", "0x1.44389a4d15f2ep-7"),
+    ),
+    ("wz", 10**6 + 17): (("0x1.c77ed44a459eep-3",), ("0x1.4a144c690943ap-12",)),
+    ("wz", 1000): (("0x1.b0f0bcfa2be10p-3",), ("0x1.2876a3fd19dd0p-7",)),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("case", sorted(GOLDEN_ESTIMATES), ids=lambda c: f"{c[0]}-{c[1]}")
+def test_estimates_equal_golden_values(case, threads):
+    name, samples = case
+    est = GOLDEN_RUNS[name](SimConfig(samples, 42), threads)
+    mean, stderr = GOLDEN_ESTIMATES[case]
+    assert tuple(m.hex() for m in est.mean) == mean
+    assert tuple(s.hex() for s in est.stderr) == stderr
+    assert est.samples == samples

@@ -73,9 +73,9 @@ from .core import (
     RATE_CLAMP_EPS,
     bad_good_labels,
     parse_kappa,
+    require_bandwidth_match,
     require_two_receivers,
     require_within_bounds,
-    validate_problem,
 )
 from .infotheory import binary_convolution, binary_entropy, wz_rate_kernel
 from .optimize import lower_envelope_indices
@@ -209,7 +209,6 @@ def binary_wz_distortion(beta: float, R: float) -> float:
 def binary_trivial_converse(problem: BinaryProblem) -> tuple:
     """Per-receiver lower bounds from the point-to-point distortion-rate value
     at rate kappa * (1 - H2(p_k))."""
-    validate_problem(problem)
     kappa = float(problem.kappa)
     return tuple(
         binary_wz_distortion(b, kappa * binary_capacity(p))
@@ -219,10 +218,7 @@ def binary_trivial_converse(problem: BinaryProblem) -> tuple:
 
 def binary_uncoded(problem: BinaryProblem) -> DistortionPoint:
     """Uncoded transmission: D_k = min(p_k, beta_k)."""
-    validate_problem(problem)
-    if problem.kappa != 1:
-        raise ValueError("uncoded requires bandwidth match (kappa = 1), got "
-                         f"kappa = {problem.kappa}")
+    require_bandwidth_match(problem, "uncoded")
     D = tuple(min(p, b) for p, b in zip(problem.crossovers, problem.sideinfo_crossovers))
     point = DistortionPoint(D=D, scheme="uncoded", params={})
     require_within_bounds(problem, point.D)
@@ -243,7 +239,6 @@ def binary_cds_points(problem: BinaryProblem, resolution: int = 41):
     Returns flat arrays (d1, d2, q, alpha).  A cell is kept when
     q * r(alpha, beta_k) <= kappa * (1 - H2(p_k)) for every receiver.
     """
-    validate_problem(problem)
     qs, alphas = _grids(resolution)
     kappa = float(problem.kappa)
     feasible = np.ones((resolution, resolution), dtype=bool)
@@ -466,7 +461,6 @@ def binary_lds_region(problem: BinaryProblem, resolution: int = 41) -> TradeoffC
     merged; a parameter tuple is kept when its source rate triple is
     componentwise at most its channel rate triple.
     """
-    validate_problem(problem)
     require_two_receivers(problem)
     vertices = []
     for assign in (RoleAssignment(1, 2), RoleAssignment(2, 1)):
@@ -485,7 +479,6 @@ def binary_lds_cds_pinned_points(problem: BinaryProblem, resolution: int = 41):
     minimization), for comparison against the single-description sweep.
     Returns flat arrays (d1, d2, q, alpha).
     """
-    validate_problem(problem)
     require_two_receivers(problem)
     qs, alphas = _grids(resolution)
     beta_1, beta_2 = problem.sideinfo_crossovers
@@ -512,7 +505,6 @@ def separate_coding_labels(problem: BinaryProblem) -> tuple:
     """0-based (bad, good) receiver indices: the bad receiver has the larger
     channel crossover; equal crossovers label the receiver with smaller
     side-information crossover as good."""
-    validate_problem(problem)
     require_two_receivers(problem)
     return bad_good_labels(problem.crossovers, problem.sideinfo_crossovers)
 
@@ -609,7 +601,6 @@ def binary_separate_region(problem: BinaryProblem, resolution: int = 41) -> Trad
     H2(p_g)), with the cumulative source rate picked by the side-information
     order.  Either degradation order of the two descriptions is allowed.
     """
-    validate_problem(problem)
     require_two_receivers(problem)
     b, g = separate_coding_labels(problem)
     p_b, p_g = problem.crossovers[b], problem.crossovers[g]

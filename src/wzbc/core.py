@@ -11,9 +11,11 @@ case kappa == 1 can be gated exactly.
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Union
 
 import numpy as np
 
@@ -54,6 +56,43 @@ def parse_kappa(value) -> Fraction:
     )
 
 
+def _number(name: str, value) -> float:
+    """float(value), or InvalidProblem naming the field."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidProblem(f"{name} must be a number, got {value!r}") from exc
+
+
+def _numbers(name: str, values) -> tuple:
+    """A list of numbers as a tuple of floats, or InvalidProblem naming the field."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise InvalidProblem(f"{name} must be a list of numbers, got {values!r}")
+    return tuple(_number(f"{name}[{k}]", v) for k, v in enumerate(values))
+
+
+def _set_receiver_fields(problem, channel: str, sideinfo: str) -> None:
+    """Convert two per-receiver fields to tuples of floats of one common
+    length, at least two."""
+    first, second = (_numbers(name, getattr(problem, name)) for name in (channel, sideinfo))
+    if len(first) < 2:
+        raise InvalidProblem(f"need at least two receivers ({channel}={first})")
+    if len(first) != len(second):
+        raise InvalidProblem(
+            f"{channel} and {sideinfo} must have the same length "
+            f"({len(first)} vs {len(second)})"
+        )
+    object.__setattr__(problem, channel, first)
+    object.__setattr__(problem, sideinfo, second)
+
+
+def _set_kappa(problem) -> None:
+    kappa = parse_kappa(problem.kappa)
+    if not kappa > 0:
+        raise InvalidProblem(f"kappa must be positive (kappa={kappa})")
+    object.__setattr__(problem, "kappa", kappa)
+
+
 @dataclass(frozen=True)
 class GaussianProblem:
     """Quadratic Gaussian broadcast problem.
@@ -63,6 +102,11 @@ class GaussianProblem:
     sideinfo_vars   -- MMSE N_k of estimating the unit-variance source from
                        side information k; the correlation is sqrt(1 - N_k)
     kappa           -- channel uses per source symbol
+
+    Construction, also through ``dataclasses.replace``, checks every
+    invariant: P and every W_k positive and finite, 0 < N_k <= 1, kappa > 0,
+    and at least two receivers.  The first violation raises InvalidProblem
+    naming the field and its value.
     """
 
     power: float
@@ -71,10 +115,21 @@ class GaussianProblem:
     kappa: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "noise_vars", tuple(float(w) for w in self.noise_vars))
-        object.__setattr__(self, "sideinfo_vars", tuple(float(n) for n in self.sideinfo_vars))
-        object.__setattr__(self, "power", float(self.power))
-        object.__setattr__(self, "kappa", parse_kappa(self.kappa))
+        object.__setattr__(self, "power", _number("power", self.power))
+        _set_receiver_fields(self, "noise_vars", "sideinfo_vars")
+        _set_kappa(self)
+        if not 0 < self.power < math.inf:
+            raise InvalidProblem(f"power must be positive and finite (power={self.power})")
+        for k, w in enumerate(self.noise_vars):
+            if not 0 < w < math.inf:
+                raise InvalidProblem(
+                    f"noise variance must be positive and finite (noise_vars[{k}]={w})"
+                )
+        for k, n in enumerate(self.sideinfo_vars):
+            if not 0 < n <= 1:
+                raise InvalidProblem(
+                    f"side-information MMSE must lie in (0, 1] (sideinfo_vars[{k}]={n})"
+                )
 
     @property
     def receivers(self) -> int:
@@ -88,6 +143,11 @@ class BinaryProblem:
     crossovers          -- BSC transition probability p_k per receiver
     sideinfo_crossovers -- crossover beta_k of the virtual side channel
     kappa               -- channel uses per source symbol
+
+    Construction, also through ``dataclasses.replace``, checks every
+    invariant: p_k and beta_k in [0, 1/2], kappa > 0, and at least two
+    receivers.  The first violation raises InvalidProblem naming the field
+    and its value.
     """
 
     crossovers: tuple
@@ -95,11 +155,14 @@ class BinaryProblem:
     kappa: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "crossovers", tuple(float(p) for p in self.crossovers))
-        object.__setattr__(
-            self, "sideinfo_crossovers", tuple(float(b) for b in self.sideinfo_crossovers)
-        )
-        object.__setattr__(self, "kappa", parse_kappa(self.kappa))
+        _set_receiver_fields(self, "crossovers", "sideinfo_crossovers")
+        _set_kappa(self)
+        for name in ("crossovers", "sideinfo_crossovers"):
+            for k, p in enumerate(getattr(self, name)):
+                if not 0 <= p <= 0.5:
+                    why = ("must be nonnegative" if p < 0 else "exceeds 1/2" if p > 0.5
+                           else "must lie in [0, 1/2]")
+                    raise InvalidProblem(f"crossover {why} ({name}[{k}]={p})")
 
     @property
     def receivers(self) -> int:
@@ -110,60 +173,22 @@ Problem = Union[GaussianProblem, BinaryProblem]
 
 
 def validate_problem(problem: Problem) -> Problem:
-    """Check every type invariant, returning the problem unchanged if all hold.
+    """Return a problem instance unchanged; raise InvalidProblem for anything else.
 
-    The first violated invariant is reported with field name and offending
-    value.  Validation is idempotent.
+    Problem types check their invariants when constructed, so this is only a
+    type check, and idempotent.
     """
-    if isinstance(problem, GaussianProblem):
-        if not problem.power > 0:
-            raise InvalidProblem(f"power must be positive (power={problem.power})")
-        if len(problem.noise_vars) < 2:
-            raise InvalidProblem(
-                f"need at least two receivers (noise_vars={problem.noise_vars})"
-            )
-        if len(problem.noise_vars) != len(problem.sideinfo_vars):
-            raise InvalidProblem(
-                "noise_vars and sideinfo_vars must have the same length "
-                f"({len(problem.noise_vars)} vs {len(problem.sideinfo_vars)})"
-            )
-        for k, w in enumerate(problem.noise_vars):
-            if not w > 0:
-                raise InvalidProblem(f"noise variance must be positive (noise_vars[{k}]={w})")
-        for k, n in enumerate(problem.sideinfo_vars):
-            if not 0 < n <= 1:
-                raise InvalidProblem(
-                    f"side-information MMSE must lie in (0, 1] (sideinfo_vars[{k}]={n})"
-                )
-        if not problem.kappa > 0:
-            raise InvalidProblem(f"kappa must be positive (kappa={problem.kappa})")
-        return problem
-    if isinstance(problem, BinaryProblem):
-        if len(problem.crossovers) < 2:
-            raise InvalidProblem(
-                f"need at least two receivers (crossovers={problem.crossovers})"
-            )
-        if len(problem.crossovers) != len(problem.sideinfo_crossovers):
-            raise InvalidProblem(
-                "crossovers and sideinfo_crossovers must have the same length "
-                f"({len(problem.crossovers)} vs {len(problem.sideinfo_crossovers)})"
-            )
-        for k, p in enumerate(problem.crossovers):
-            if p < 0:
-                raise InvalidProblem(f"crossover must be nonnegative (crossovers[{k}]={p})")
-            if p > 0.5:
-                raise InvalidProblem(f"crossover exceeds 1/2 (crossovers[{k}]={p})")
-        for k, b in enumerate(problem.sideinfo_crossovers):
-            if b < 0:
-                raise InvalidProblem(
-                    f"crossover must be nonnegative (sideinfo_crossovers[{k}]={b})"
-                )
-            if b > 0.5:
-                raise InvalidProblem(f"crossover exceeds 1/2 (sideinfo_crossovers[{k}]={b})")
-        if not problem.kappa > 0:
-            raise InvalidProblem(f"kappa must be positive (kappa={problem.kappa})")
+    if isinstance(problem, (GaussianProblem, BinaryProblem)):
         return problem
     raise InvalidProblem(f"not a problem instance: {problem!r}")
+
+
+def require_bandwidth_match(problem: Problem, what: str) -> None:
+    """Raise ValueError unless kappa == 1: what is defined only at bandwidth match."""
+    if problem.kappa != 1:
+        raise ValueError(
+            f"{what} requires bandwidth match (kappa = 1), got kappa = {problem.kappa}"
+        )
 
 
 def require_two_receivers(problem: Problem) -> None:
@@ -318,25 +343,22 @@ def problem_from_dict(data: Mapping) -> Problem:
     Gaussian: {"kind": "gaussian", "P": .., "W": [..], "N": [..], "kappa": "1"}
     Binary:   {"kind": "binary", "p": [..], "beta": [..], "kappa": "1/2"}
     """
+    if not isinstance(data, Mapping):
+        raise InvalidProblem(f"a problem must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
-    kappa = parse_kappa(data.get("kappa", 1))
-    if kind == "gaussian":
-        try:
-            problem = GaussianProblem(
+    kappa = data.get("kappa", 1)
+    try:
+        if kind == "gaussian":
+            return GaussianProblem(
                 power=data["P"], noise_vars=data["W"], sideinfo_vars=data["N"], kappa=kappa
             )
-        except KeyError as exc:
-            raise InvalidProblem(f"gaussian problem missing field {exc}") from exc
-    elif kind == "binary":
-        try:
-            problem = BinaryProblem(
+        if kind == "binary":
+            return BinaryProblem(
                 crossovers=data["p"], sideinfo_crossovers=data["beta"], kappa=kappa
             )
-        except KeyError as exc:
-            raise InvalidProblem(f"binary problem missing field {exc}") from exc
-    else:
-        raise InvalidProblem(f'problem "kind" must be "gaussian" or "binary", got {kind!r}')
-    return validate_problem(problem)
+    except KeyError as exc:
+        raise InvalidProblem(f"{kind} problem missing field {exc}") from exc
+    raise InvalidProblem(f'problem "kind" must be "gaussian" or "binary", got {kind!r}')
 
 
 def load_problem(path) -> Problem:

@@ -25,9 +25,9 @@ from .core import (
     RateTriple,
     RoleAssignment,
     bad_good_labels,
+    require_bandwidth_match,
     require_two_receivers,
     require_within_bounds,
-    validate_problem,
 )
 
 RANGE_GUARD = 1e-12  # floating-point slack on closed-interval domain checks
@@ -53,7 +53,6 @@ def gaussian_wz_distortion(N: float, R: float) -> float:
 
 def gaussian_trivial_converse(problem: GaussianProblem) -> tuple:
     """Per-receiver lower bounds D_k >= N_k / (1 + P/W_k)^kappa."""
-    validate_problem(problem)
     kappa = float(problem.kappa)
     return tuple(
         n / (1.0 + problem.power / w) ** kappa
@@ -63,10 +62,7 @@ def gaussian_trivial_converse(problem: GaussianProblem) -> tuple:
 
 def gaussian_uncoded(problem: GaussianProblem) -> DistortionPoint:
     """Distortion of transmitting the scaled source directly: N_k W_k / (W_k + N_k P)."""
-    validate_problem(problem)
-    if problem.kappa != 1:
-        raise ValueError("uncoded requires bandwidth match (kappa = 1), got "
-                         f"kappa = {problem.kappa}")
+    require_bandwidth_match(problem, "uncoded")
     P = problem.power
     D = tuple(
         n * w / (w + n * P) for w, n in zip(problem.noise_vars, problem.sideinfo_vars)
@@ -83,7 +79,6 @@ def _quality(P: float, W: float, N: float, kappa: float) -> float:
 
 def gaussian_cds(problem: GaussianProblem) -> DistortionPoint:
     """Single-description point: 1/D_k = 1/N_k + min_k' quality_k'."""
-    validate_problem(problem)
     P = problem.power
     kappa = float(problem.kappa)
     best = min(_quality(P, w, n, kappa)
@@ -100,7 +95,6 @@ def choose_refinement_receiver(problem: GaussianProblem) -> RoleAssignment:
     The assignment satisfies quality_c <= quality_r; for kappa = 1 this is the
     product rule W_c N_c >= W_r N_r.  Ties assign receiver 1 as c.
     """
-    validate_problem(problem)
     require_two_receivers(problem)
     P = problem.power
     kappa = float(problem.kappa)
@@ -150,7 +144,6 @@ def gaussian_lds_channel_rates(
     R_cr the same with W_r, and R_rr = (1/2) log2 of that denominator with W_r.
     Negative values are clamped to 0 with the clamped flag set.
     """
-    validate_problem(problem)
     require_two_receivers(problem)
     P = problem.power
     W_c = problem.noise_vars[assign.c]
@@ -191,7 +184,6 @@ def gaussian_lds_distortions(
     phi = min{(2^(2 kappa R_cc) - 1)/N_c, (2^(2 kappa R_cr) - 1)/N_r},
     D_c = N_c / (1 + N_c phi), D_r = N_r / (1 + N_r phi) * 2^(-2 kappa R_rr).
     """
-    validate_problem(problem)
     require_two_receivers(problem)
     if min(rates.as_tuple()) < 0:
         raise ValueError(f"rates must be nonnegative, got {rates.as_tuple()}")
@@ -214,10 +206,8 @@ def gaussian_lds_distortions(
 
 def gaussian_lds_dc_range(problem: GaussianProblem, assign: RoleAssignment) -> tuple:
     """Domain [D_c_min, D_c_max] of the bandwidth-matched layered closed form."""
-    validate_problem(problem)
     require_two_receivers(problem)
-    if problem.kappa != 1:
-        raise ValueError(f"closed form requires kappa = 1, got {problem.kappa}")
+    require_bandwidth_match(problem, "closed form")
     _check_assignment(problem, assign)
     P = problem.power
     W_c, W_r = problem.noise_vars[assign.c], problem.noise_vars[assign.r]
@@ -312,7 +302,6 @@ def gaussian_lds_curve(problem: GaussianProblem, assign: RoleAssignment, D_c):
     D_c is a scalar (a float is returned) or an array, on the domain
     [D_c of ``gaussian_cds``, N_c]; any element outside it raises ValueError.
     """
-    validate_problem(problem)
     require_two_receivers(problem)
     P = problem.power
     kappa = float(problem.kappa)
@@ -341,10 +330,8 @@ def gaussian_lds_dc_of_dr(
     coding comparison is naturally parameterized by D_r.  Valid for
     D_r in [N_r W_r / (P + W_r), N_c N_r W_c / (N_c W_c + P N_r)].
     """
-    validate_problem(problem)
     require_two_receivers(problem)
-    if problem.kappa != 1:
-        raise ValueError(f"closed form requires kappa = 1, got {problem.kappa}")
+    require_bandwidth_match(problem, "closed form")
     _check_assignment(problem, assign)
     P = problem.power
     W_c, W_r = problem.noise_vars[assign.c], problem.noise_vars[assign.r]
@@ -364,7 +351,6 @@ def separate_coding_labels(problem: GaussianProblem) -> tuple:
     The bad receiver is the one with the larger channel noise variance; equal
     noise variances fall back to labeling the receiver with smaller N as good.
     """
-    validate_problem(problem)
     require_two_receivers(problem)
     return bad_good_labels(problem.noise_vars, problem.sideinfo_vars)
 
@@ -377,10 +363,8 @@ def gaussian_separate_closed_form(problem: GaussianProblem, D_b):
     information (N_g <= N_b), otherwise the max of the two constraints.
     D_b is a scalar or an array, as for ``gaussian_lds_closed_form``.
     """
-    validate_problem(problem)
     require_two_receivers(problem)
-    if problem.kappa != 1:
-        raise ValueError(f"closed form requires kappa = 1, got {problem.kappa}")
+    require_bandwidth_match(problem, "closed form")
     b, g = separate_coding_labels(problem)
     P = problem.power
     W_b, W_g = problem.noise_vars[b], problem.noise_vars[g]
@@ -408,7 +392,6 @@ def gaussian_separate_feasible(
     must hold together with the good-channel condition appropriate to the
     side information order (general kappa).
     """
-    validate_problem(problem)
     require_two_receivers(problem)
     if not 0.0 <= nu <= 1.0:
         raise ValueError(f"nu must lie in [0, 1], got {nu}")
@@ -438,7 +421,6 @@ def gaussian_scheme3_rates(
     noise; the precoding parameter is set to its point-to-point optimum, which
     only affects R_cc.
     """
-    validate_problem(problem)
     require_two_receivers(problem)
     if not 0.0 <= nu <= 1.0:
         raise ValueError(f"nu must lie in [0, 1], got {nu}")
@@ -462,9 +444,8 @@ def gaussian_scheme3_curve(problem: GaussianProblem, assign: RoleAssignment, cou
     Returns arrays (D_c, D_r).  Each point is the scalar
     ``gaussian_lds_distortions(gaussian_scheme3_rates(nu))`` value, computed
     with the same libm calls (numpy's vectorized log2 and pow can differ in
-    the last bit); the problem is validated and the curve bounds-checked once.
+    the last bit); the curve is bounds-checked once.
     """
-    validate_problem(problem)
     require_two_receivers(problem)
     pairs = [
         _lds_distortion_pair(problem, assign, *_scheme3_rate_triple(problem, assign, nu))
@@ -483,10 +464,8 @@ def gaussian_scheme3_closed_form(problem: GaussianProblem, assign: RoleAssignmen
     for D_c in [N_c W_c / (P + W_c), N_c].  D_c is a scalar or an array, as
     for ``gaussian_lds_closed_form``.
     """
-    validate_problem(problem)
     require_two_receivers(problem)
-    if problem.kappa != 1:
-        raise ValueError(f"closed form requires kappa = 1, got {problem.kappa}")
+    require_bandwidth_match(problem, "closed form")
     P = problem.power
     W_c, W_r = problem.noise_vars[assign.c], problem.noise_vars[assign.r]
     N_c, N_r = problem.sideinfo_vars[assign.c], problem.sideinfo_vars[assign.r]
@@ -525,7 +504,6 @@ def lds_parametric_cloud(
     value comes from the same elementwise expression on the same floats as on
     a full meshgrid.
     """
-    validate_problem(problem)
     require_two_receivers(problem)
     P = problem.power
     kappa = float(problem.kappa)
@@ -589,7 +567,6 @@ def gaussian_separate_sweep(problem: GaussianProblem, count: int = 400):
     smallest D_g.  Returns flat arrays {d_b, d_g, nu} in receiver-label order
     (bad first).
     """
-    validate_problem(problem)
     require_two_receivers(problem)
     b, g = separate_coding_labels(problem)
     P = problem.power

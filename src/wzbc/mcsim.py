@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinaryProblem, GaussianProblem, validate_problem
+from .core import BinaryProblem, GaussianProblem, require_bandwidth_match
 
 BATCH_SPAN = 1 << 18
 
@@ -125,10 +125,7 @@ def simulate_uncoded_gaussian(
     its side information with the analytic combiner
     (sqrt(P) N_k V + rho_k W_k Y) / (P N_k + W_k).
     """
-    validate_problem(problem)
-    if problem.kappa != 1:
-        raise ValueError("uncoded requires bandwidth match (kappa = 1), got "
-                         f"kappa = {problem.kappa}")
+    require_bandwidth_match(problem, "uncoded")
     P = problem.power
     batch_fns = []
     for W, N in zip(problem.noise_vars, problem.sideinfo_vars):
@@ -163,10 +160,7 @@ def simulate_uncoded_binary(
     The decoder outputs the channel output when p_k <= beta_k and the side
     information otherwise, matching the maximum-likelihood rule.
     """
-    validate_problem(problem)
-    if problem.kappa != 1:
-        raise ValueError("uncoded requires bandwidth match (kappa = 1), got "
-                         f"kappa = {problem.kappa}")
+    require_bandwidth_match(problem, "uncoded")
     batch_fns = []
     for p, beta in zip(problem.crossovers, problem.sideinfo_crossovers):
 

@@ -9,7 +9,7 @@ import pytest
 
 from wzbc import gaussian as gs
 from wzbc.cli import _brute_wz_distortion, _write_csv, main
-from wzbc.core import load_problem, validate_problem
+from wzbc.core import load_problem
 from wzbc.gaussian import (
     choose_refinement_receiver,
     gaussian_cds,
@@ -249,7 +249,7 @@ def test_point_lds_full_power_equals_cds(gaussian_file, capsys):
     assert main(["point", "--problem", gaussian_file, "--scheme", "lds",
                  "--param", "nu=1", "--param", "gamma=0"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    problem = validate_problem(load_problem(gaussian_file))
+    problem = load_problem(gaussian_file)
     cds = gaussian_cds(problem)
     assert (payload["D1"], payload["D2"]) == pytest.approx(cds.D, abs=1e-12)
     assert payload["flags"] == []
@@ -259,7 +259,7 @@ def test_point_lds_interior_matches_closed_form(gaussian_file, capsys):
     assert main(["point", "--problem", gaussian_file, "--scheme", "lds",
                  "--param", "nu=0.5", "--param", "gamma=0"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    problem = validate_problem(load_problem(gaussian_file))
+    problem = load_problem(gaussian_file)
     assign = choose_refinement_receiver(problem)
     d_c = payload["D1"] if assign.c == 0 else payload["D2"]
     d_r = payload["D2"] if assign.c == 0 else payload["D1"]
@@ -320,11 +320,32 @@ def test_validate_gaussian_oracle_includes_the_exact_curve_at_kappa_half(monkeyp
     monkeypatch.setattr(gs, "gaussian_lds_curve", spy)
     assert main(["validate", "--suite", "gaussian-oracle", "--seed", "42"]) == 0
     assert seen == [(Fraction(1, 2), 50)]
-    assert capsys.readouterr().out == (
-        "[PASS] gaussian-oracle: max deviation 5.066e-05 (tol 0.0001)\n"
-    )
+    assert capsys.readouterr().out == GAUSSIAN_ORACLE_LINES[42] + "\n"
     monkeypatch.setattr(gs, "gaussian_lds_curve", lambda p, a, d: curve(p, a, d) + 1e-4)
     assert main(["validate", "--suite", "gaussian-oracle", "--seed", "42"]) == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"kind": "binary", "p": [NaN, 0.1], "beta": [0.2, 0.1], "kappa": "1"}',
+        '{"kind": "gaussian", "P": Infinity, "W": [1.0, 0.5], "N": [0.8, 0.4], "kappa": "1"}',
+        '{"kind": "gaussian", "P": null, "W": [1.0, 0.5], "N": [0.8, 0.4], "kappa": "1"}',
+        '{"kind": "gaussian", "P": 1.0, "W": 5, "N": [0.8, 0.4], "kappa": "1"}',
+        '{"kind": "binary", "p": [0.05, 0.1], "beta": [0.2, null], "kappa": "1"}',
+        "[1, 2]",
+    ],
+    ids=["nan-crossover", "inf-power", "null-power", "scalar-noise", "null-beta", "top-level-list"],
+)
+def test_compare_malformed_problem_is_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["compare", "--problem", str(path), "--schemes", "cds,uncoded,lds",
+                 "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_compare_rejects_three_receivers(tmp_path, capsys):
@@ -380,8 +401,11 @@ BINARY_ORACLE_LINES = {
     13: "[PASS] binary-oracle: max deviation 3.903e-04 (tol 0.001); sub-grid equality True",
     42: "[PASS] binary-oracle: max deviation 2.691e-04 (tol 0.001); sub-grid equality True",
 }
+# the third instance is drawn from the seed
 GAUSSIAN_ORACLE_LINES = {
-    seed: "[PASS] gaussian-oracle: max deviation 5.066e-05 (tol 0.0001)" for seed in (1, 13, 42)
+    seed: "[PASS] gaussian-oracle: max deviation 5.066e-05 (tol 0.0001); "
+          f"instances 7.129e-07, 5.066e-05, {third}, 3.734e-07"
+    for seed, third in ((1, "2.145e-06"), (13, "2.473e-08"), (42, "8.506e-06"))
 }
 
 

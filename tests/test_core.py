@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -28,15 +29,16 @@ def test_valid_gaussian_problem_passes():
 
 
 def test_zero_power_rejected():
-    p = GaussianProblem(power=0, noise_vars=[1, 0.5], sideinfo_vars=[0.8, 0.4])
     with pytest.raises(InvalidProblem, match="power must be positive"):
-        validate_problem(p)
+        GaussianProblem(power=0, noise_vars=[1, 0.5], sideinfo_vars=[0.8, 0.4])
 
 
 def test_binary_crossover_above_half_rejected():
-    p = BinaryProblem(crossovers=[0.6, 0.1], sideinfo_crossovers=[0.2, 0.1])
     with pytest.raises(InvalidProblem, match="crossover exceeds 1/2"):
-        validate_problem(p)
+        BinaryProblem(crossovers=[0.6, 0.1], sideinfo_crossovers=[0.2, 0.1])
+
+
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize(
@@ -46,18 +48,77 @@ def test_binary_crossover_above_half_rejected():
         ("sideinfo_vars", [0.8, 0.0]),
         ("sideinfo_vars", [0.8, 1.2]),
         ("kappa", Fraction(-1, 2)),
+        ("power", NAN),
+        ("power", INF),
+        ("power", -INF),
+        ("power", None),
+        ("noise_vars", [1.0, NAN]),
+        ("noise_vars", [INF, 0.5]),
+        ("noise_vars", [-INF, 0.5]),
+        ("noise_vars", [1.0, None]),
+        ("noise_vars", 5),
+        ("noise_vars", [1.0]),
+        ("sideinfo_vars", [0.8, NAN]),
+        ("sideinfo_vars", [INF, 0.4]),
+        ("sideinfo_vars", [None, 0.4]),
+        ("sideinfo_vars", [0.8, 0.4, 0.5]),
+        ("kappa", None),
     ],
 )
 def test_gaussian_invariant_violations(field, value):
     kwargs = dict(power=1, noise_vars=[1, 0.5], sideinfo_vars=[0.8, 0.4], kappa=1)
     kwargs[field] = value
-    with pytest.raises(InvalidProblem):
-        validate_problem(GaussianProblem(**kwargs))
+    with pytest.raises(InvalidProblem, match=rf"\b{field}\b"):
+        GaussianProblem(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("crossovers", [-0.1, 0.1]),
+        ("crossovers", [0.05, 0.6]),
+        ("crossovers", [NAN, 0.1]),
+        ("crossovers", [0.05, INF]),
+        ("crossovers", [-INF, 0.1]),
+        ("crossovers", [None, 0.1]),
+        ("crossovers", 0.1),
+        ("crossovers", [0.1]),
+        ("sideinfo_crossovers", [0.2, -0.1]),
+        ("sideinfo_crossovers", [0.51, 0.1]),
+        ("sideinfo_crossovers", [0.2, NAN]),
+        ("sideinfo_crossovers", [0.2, None]),
+        ("sideinfo_crossovers", "ab"),
+        ("sideinfo_crossovers", [0.2]),
+        ("kappa", 0),
+    ],
+)
+def test_binary_invariant_violations(field, value):
+    kwargs = dict(crossovers=[0.05, 0.1], sideinfo_crossovers=[0.2, 0.1], kappa=1)
+    kwargs[field] = value
+    with pytest.raises(InvalidProblem, match=rf"\b{field}\b"):
+        BinaryProblem(**kwargs)
+
+
+def test_crossover_messages():
+    for value, message in ((-0.1, "crossover must be nonnegative"),
+                           (NAN, "crossover must lie in \\[0, 1/2\\]")):
+        with pytest.raises(InvalidProblem, match=message):
+            BinaryProblem(crossovers=[0.05, 0.1], sideinfo_crossovers=[value, 0.1])
+
+
+def test_replace_checks_the_invariants_again():
+    p = GaussianProblem(power=1, noise_vars=[1, 0.5], sideinfo_vars=[0.8, 0.4])
+    with pytest.raises(InvalidProblem, match="power must be positive"):
+        dataclasses.replace(p, power=0)
+    half = dataclasses.replace(p, kappa="1/2")
+    assert half.kappa == Fraction(1, 2) and half.noise_vars == p.noise_vars
 
 
 def test_validation_is_idempotent():
     p = BinaryProblem(crossovers=[0.05, 0.1], sideinfo_crossovers=[0.2, 0.1], kappa="1/2")
     assert validate_problem(validate_problem(p)) is p
+    with pytest.raises(InvalidProblem, match="not a problem instance"):
+        validate_problem({"kind": "binary"})
 
 
 def test_kappa_parsing():
@@ -87,7 +148,6 @@ def test_role_assignment_invariants():
 
 def test_layered_ops_reject_more_receivers():
     p = GaussianProblem(power=1, noise_vars=[1, 0.5, 2], sideinfo_vars=[0.8, 0.4, 0.5])
-    validate_problem(p)
     with pytest.raises(UnsupportedReceiverCount):
         require_two_receivers(p)
 
@@ -135,3 +195,5 @@ def test_problem_json_round_trip(tmp_path):
         problem_from_dict({"kind": "laplace"})
     with pytest.raises(InvalidProblem):
         problem_from_dict({"kind": "gaussian", "P": 1, "W": [1, 1]})
+    with pytest.raises(InvalidProblem, match="must be a JSON object, got list"):
+        problem_from_dict([1, 2])

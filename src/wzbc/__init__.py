@@ -64,7 +64,7 @@ from .dmc import (
     scheme2_rate_triple,
     scheme3_rate_triple,
 )
-from .optimize import lower_convex_envelope, pareto_merge
+from .optimize import lower_convex_envelope
 from .mcsim import (
     MCEstimate,
     SimConfig,

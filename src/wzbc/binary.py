@@ -78,7 +78,7 @@ from .core import (
     require_within_bounds,
 )
 from .infotheory import binary_convolution, binary_entropy, wz_rate_kernel
-from .optimize import lower_envelope_indices
+from .optimize import lower_convex_envelope, lower_envelope_indices
 
 FEAS_TOL = 1e-12
 
@@ -465,10 +465,7 @@ def binary_lds_region(problem: BinaryProblem, resolution: int = 41) -> TradeoffC
     vertices = []
     for assign in (RoleAssignment(1, 2), RoleAssignment(2, 1)):
         vertices.extend(_binary_lds_vertices(problem, assign, resolution))
-    x = np.array([v.D[0] for v in vertices])
-    y = np.array([v.D[1] for v in vertices])
-    keep = lower_envelope_indices(x, y)
-    return TradeoffCurve(points=tuple(vertices[i] for i in keep), envelope_applied=True)
+    return lower_convex_envelope(vertices)
 
 
 def binary_lds_cds_pinned_points(problem: BinaryProblem, resolution: int = 41):

@@ -33,17 +33,12 @@ from .core import (
     BLOCK_CELLS,
     BinaryProblem,
     GaussianProblem,
-    TradeoffCurve,
     load_problem,
 )
 from .dmc import binary_superposition_inputs, lds_rate_triple, scheme1_rate_triple
 from .infotheory import binary_convolution, wz_rate_kernel
 from .mcsim import SimConfig, simulate_uncoded_binary, simulate_uncoded_gaussian
 from .optimize import lower_envelope_indices
-
-GAUSSIAN_SCHEMES = ("converse", "uncoded", "cds", "lds", "separate", "scheme3")
-BINARY_SCHEMES = ("converse", "uncoded", "cds", "lds", "separate")
-
 
 class UsageError(Exception):
     pass
@@ -68,61 +63,6 @@ def _write_csv(path, scheme, params, rows):
         fh.write(body)
 
 
-def _curve_rows(curve: TradeoffCurve):
-    return [(p.D[0], p.D[1]) for p in curve.points]
-
-
-def _gaussian_curve(problem, scheme, resolution, extend_flat):
-    """Rows of (D1, D2) for one scheme; raises UsageError on capability gaps."""
-    P = problem.power
-    if scheme == "converse":
-        return [gaussian_trivial_point(problem)]
-    if scheme == "uncoded":
-        return [tuple(gs.gaussian_uncoded(problem).D)]
-    if scheme == "cds":
-        return [tuple(gs.gaussian_cds(problem).D)]
-    assign = gs.choose_refinement_receiver(problem)
-    if scheme == "lds":
-        if problem.kappa == 1:
-            dmin, dmax = gs.gaussian_lds_dc_range(problem, assign)
-            top = problem.sideinfo_vars[assign.c] if extend_flat else dmax
-            d_c = np.linspace(dmin, top, resolution)
-            d_r = gs.gaussian_lds_closed_form(problem, assign, d_c, extend_flat)
-            return _receiver_rows(assign, d_c, d_r)
-        top = problem.sideinfo_vars[assign.c]
-        for _ in range(2):
-            # the envelope ends at the first sample of minimal D_r (past the knee
-            # the curve is the constant floor), so the second pass spends every
-            # sample on D_c up to there
-            d_c = np.linspace(gs.gaussian_cds(problem).D[assign.c], top, resolution)
-            d_r = gs.gaussian_lds_curve(problem, assign, d_c)
-            top = d_c[np.argmin(d_r)]
-        x, y = _receiver_xy(assign, d_c, d_r)
-        keep = lower_envelope_indices(x, y)
-        return [(x[i], y[i]) for i in keep]
-    if scheme == "scheme3":
-        if problem.kappa == 1:
-            lo = problem.sideinfo_vars[assign.c] * problem.noise_vars[assign.c] / (
-                P + problem.noise_vars[assign.c]
-            )
-            d_c = np.linspace(lo, problem.sideinfo_vars[assign.c], resolution)
-            d_r = gs.gaussian_scheme3_closed_form(problem, assign, d_c)
-            return _receiver_rows(assign, d_c, d_r)
-        return _receiver_rows(assign, *gs.gaussian_scheme3_curve(problem, assign, resolution))
-    if scheme == "separate":
-        sweep = gs.gaussian_separate_sweep(problem, resolution)
-        b, g = gs.separate_coding_labels(problem)
-        rows = [
-            (db, dg) if b == 0 else (dg, db) for db, dg in zip(sweep["d_b"], sweep["d_g"])
-        ]
-        return sorted(rows)
-    raise UsageError(f"unknown scheme {scheme!r}")
-
-
-def gaussian_trivial_point(problem):
-    return tuple(gs.gaussian_trivial_converse(problem))
-
-
 def _receiver_xy(assign, d_c, d_r):
     """(D1, D2) arrays of a curve given in (D_c, D_r) arrays."""
     return (d_c, d_r) if assign.c == 0 else (d_r, d_c)
@@ -134,20 +74,68 @@ def _receiver_rows(assign, d_c, d_r):
     return sorted(zip(d1.tolist(), d2.tolist()))
 
 
-def _binary_curve(problem, scheme, resolution):
-    if scheme == "converse":
-        return [bn.binary_trivial_converse(problem)]
-    if scheme == "uncoded":
-        return [tuple(bn.binary_uncoded(problem).D)]
-    if scheme == "cds":
-        return _curve_rows(bn.binary_cds_region(problem, resolution))
-    if scheme == "lds":
-        return _curve_rows(bn.binary_lds_region(problem, resolution))
-    if scheme == "separate":
-        return _curve_rows(bn.binary_separate_region(problem, resolution))
-    if scheme in GAUSSIAN_SCHEMES:
-        raise UsageError(f"gaussian-only scheme: {scheme!r}")
-    raise UsageError(f"unknown scheme {scheme!r}")
+def _gaussian_lds(problem, resolution, extend_flat):
+    assign = gs.choose_refinement_receiver(problem)
+    if problem.kappa == 1:
+        dmin, dmax = gs.gaussian_lds_dc_range(problem, assign)
+        top = problem.sideinfo_vars[assign.c] if extend_flat else dmax
+        d_c = np.linspace(dmin, top, resolution)
+        d_r = gs.gaussian_lds_closed_form(problem, assign, d_c, extend_flat)
+        return _receiver_rows(assign, d_c, d_r)
+    top = problem.sideinfo_vars[assign.c]
+    for _ in range(2):
+        # the envelope ends at the first sample of minimal D_r (past the knee
+        # the curve is the constant floor), so the second pass spends every
+        # sample on D_c up to there
+        d_c = np.linspace(gs.gaussian_cds(problem).D[assign.c], top, resolution)
+        d_r = gs.gaussian_lds_curve(problem, assign, d_c)
+        top = d_c[np.argmin(d_r)]
+    x, y = _receiver_xy(assign, d_c, d_r)
+    keep = lower_envelope_indices(x, y)
+    return [(x[i], y[i]) for i in keep]
+
+
+def _gaussian_scheme3(problem, resolution, extend_flat):
+    assign = gs.choose_refinement_receiver(problem)
+    if problem.kappa == 1:
+        lo = problem.sideinfo_vars[assign.c] * problem.noise_vars[assign.c] / (
+            problem.power + problem.noise_vars[assign.c]
+        )
+        d_c = np.linspace(lo, problem.sideinfo_vars[assign.c], resolution)
+        d_r = gs.gaussian_scheme3_closed_form(problem, assign, d_c)
+        return _receiver_rows(assign, d_c, d_r)
+    return _receiver_rows(assign, *gs.gaussian_scheme3_curve(problem, assign, resolution))
+
+
+def _gaussian_separate(problem, resolution, extend_flat):
+    sweep = gs.gaussian_separate_sweep(problem, resolution)
+    b, _ = gs.separate_coding_labels(problem)
+    return sorted(
+        (db, dg) if b == 0 else (dg, db) for db, dg in zip(sweep["d_b"], sweep["d_g"])
+    )
+
+
+# compare's schemes per problem type, in the order of the usage error's list:
+# name -> (problem, resolution, extend_flat) -> rows of (D1, D2)
+COMPARE_SCHEMES = {
+    GaussianProblem: {
+        "converse": lambda problem, *_: [tuple(gs.gaussian_trivial_converse(problem))],
+        "uncoded": lambda problem, *_: [gs.gaussian_uncoded(problem).D],
+        "cds": lambda problem, *_: [gs.gaussian_cds(problem).D],
+        "lds": _gaussian_lds,
+        "separate": _gaussian_separate,
+        "scheme3": _gaussian_scheme3,
+    },
+    BinaryProblem: {
+        "converse": lambda problem, *_: [bn.binary_trivial_converse(problem)],
+        "uncoded": lambda problem, *_: [bn.binary_uncoded(problem).D],
+        "cds": lambda problem, res, _: [p.D for p in bn.binary_cds_region(problem, res).points],
+        "lds": lambda problem, res, _: [p.D for p in bn.binary_lds_region(problem, res).points],
+        "separate": lambda problem, res, _: [
+            p.D for p in bn.binary_separate_region(problem, res).points
+        ],
+    },
+}
 
 
 def _emit_plot_script(out_dir, csvs):
@@ -181,10 +169,11 @@ def cmd_compare(args) -> int:
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if not schemes:
         raise UsageError("empty scheme list")
-    known = GAUSSIAN_SCHEMES if isinstance(problem, GaussianProblem) else BINARY_SCHEMES
+    known = COMPARE_SCHEMES[type(problem)]
+    gaussian_only = COMPARE_SCHEMES[GaussianProblem].keys() - known.keys()
     for s in schemes:
         if s not in known:
-            if isinstance(problem, BinaryProblem) and s.split("-")[0] in GAUSSIAN_SCHEMES:
+            if s.split("-")[0] in gaussian_only:
                 raise UsageError(f"gaussian-only scheme: {s!r}")
             raise UsageError(f"unknown scheme {s!r}; known: {', '.join(known)}")
     if "converse" not in schemes:
@@ -196,11 +185,8 @@ def cmd_compare(args) -> int:
     failures = []
     for scheme in schemes:
         try:
-            if isinstance(problem, GaussianProblem):
-                rows = _gaussian_curve(problem, scheme, args.resolution, args.extend_flat)
-            else:
-                rows = _binary_curve(problem, scheme, args.resolution)
-        except (ValueError, UsageError) as exc:
+            rows = known[scheme](problem, args.resolution, args.extend_flat)
+        except ValueError as exc:
             failures.append((scheme, str(exc)))
             print(f"scheme {scheme} skipped: {exc}", file=sys.stderr)
             continue
@@ -449,7 +435,7 @@ def cmd_point(args) -> int:
             if channel.clamped:
                 flags.append("rate-clamped")
             feasible = all(
-                s <= c + 1e-12 for s, c in zip(source.as_tuple(), channel.as_tuple())
+                s <= c + bn.FEAS_TOL for s, c in zip(source.as_tuple(), channel.as_tuple())
             )
             if not feasible:
                 raise UsageError(

@@ -90,6 +90,14 @@ def _set_kappa(problem) -> None:
     kappa = parse_kappa(problem.kappa)
     if not kappa > 0:
         raise InvalidProblem(f"kappa must be positive (kappa={kappa})")
+    try:
+        value = float(kappa)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise InvalidProblem(
+            f"kappa must have a finite, nonzero float value (kappa={problem.kappa!r})"
+        )
     object.__setattr__(problem, "kappa", kappa)
 
 
@@ -104,9 +112,9 @@ class GaussianProblem:
     kappa           -- channel uses per source symbol
 
     Construction, also through ``dataclasses.replace``, checks every
-    invariant: P and every W_k positive and finite, 0 < N_k <= 1, kappa > 0,
-    and at least two receivers.  The first violation raises InvalidProblem
-    naming the field and its value.
+    invariant: P and every W_k positive and finite, 0 < N_k <= 1, kappa > 0
+    with a finite, nonzero float value, and at least two receivers.  The
+    first violation raises InvalidProblem naming the field and its value.
     """
 
     power: float
@@ -145,9 +153,9 @@ class BinaryProblem:
     kappa               -- channel uses per source symbol
 
     Construction, also through ``dataclasses.replace``, checks every
-    invariant: p_k and beta_k in [0, 1/2], kappa > 0, and at least two
-    receivers.  The first violation raises InvalidProblem naming the field
-    and its value.
+    invariant: p_k and beta_k in [0, 1/2], kappa > 0 with a finite, nonzero
+    float value, and at least two receivers.  The first violation raises
+    InvalidProblem naming the field and its value.
     """
 
     crossovers: tuple
@@ -287,10 +295,6 @@ class DistortionPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "D", tuple(float(d) for d in self.D))
-
-    def within_bounds(self, problem: Problem, slack: float = 1e-12) -> bool:
-        """D_k >= 0 and D_k <= N_k (Gaussian) or beta_k (binary), up to slack."""
-        return all(_inside(d, u, slack) for d, u in zip(self.D, _distortion_caps(problem)))
 
 
 def _distortion_caps(problem: Problem) -> tuple:

@@ -1,4 +1,4 @@
-"""Lower convex envelopes and Pareto merging of tradeoff curves."""
+"""Lower convex envelopes of tradeoff point sets."""
 
 from __future__ import annotations
 
@@ -104,12 +104,3 @@ def lower_convex_envelope(points) -> TradeoffCurve:
         DistortionPoint(D=(arr[i, 0], arr[i, 1]), scheme="envelope", params={}) for i in keep
     )
     return TradeoffCurve(points=made, envelope_applied=True)
-
-
-def pareto_merge(curves) -> TradeoffCurve:
-    """Union of the curves' points followed by the lower convex envelope."""
-    curves = list(curves)
-    if not curves:
-        raise ValueError("pareto_merge of an empty curve list")
-    merged = [p for curve in curves for p in curve.points]
-    return lower_convex_envelope(merged)

@@ -104,10 +104,16 @@ def test_compare_converse_always_emitted(tmp_path, gaussian_file):
 
 
 def test_compare_binary_rejects_gaussian_only_scheme(tmp_path, binary_file, capsys):
-    code = main(["compare", "--problem", binary_file, "--schemes", "scheme3-closed-form",
-                 "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert "gaussian-only scheme" in capsys.readouterr().err
+    # only a name whose prefix is a Gaussian-only scheme is called gaussian-only
+    for scheme, err in [
+        ("scheme3-closed-form", "error: gaussian-only scheme: 'scheme3-closed-form'\n"),
+        ("lds-closed-form", "error: unknown scheme 'lds-closed-form'; "
+                            "known: converse, uncoded, cds, lds, separate\n"),
+    ]:
+        code = main(["compare", "--problem", binary_file, "--schemes", scheme,
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == err
 
 
 def test_compare_empty_scheme_list(tmp_path, gaussian_file):
@@ -115,9 +121,14 @@ def test_compare_empty_scheme_list(tmp_path, gaussian_file):
                  "--out", str(tmp_path / "o")]) == 2
 
 
-def test_compare_unknown_scheme(tmp_path, gaussian_file):
-    assert main(["compare", "--problem", gaussian_file, "--schemes", "sorcery",
-                 "--out", str(tmp_path / "o")]) == 2
+def test_compare_unknown_scheme(tmp_path, gaussian_file, binary_file, capsys):
+    for problem, known in [
+        (gaussian_file, "converse, uncoded, cds, lds, separate, scheme3"),
+        (binary_file, "converse, uncoded, cds, lds, separate"),
+    ]:
+        assert main(["compare", "--problem", problem, "--schemes", "sorcery",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: unknown scheme 'sorcery'; known: {known}\n"
 
 
 def test_compare_kappa_mismatch_skips_scheme_but_continues(tmp_path, gaussian_file, capsys):
@@ -326,26 +337,42 @@ def test_validate_gaussian_oracle_includes_the_exact_curve_at_kappa_half(monkeyp
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, extra",
     [
-        '{"kind": "binary", "p": [NaN, 0.1], "beta": [0.2, 0.1], "kappa": "1"}',
-        '{"kind": "gaussian", "P": Infinity, "W": [1.0, 0.5], "N": [0.8, 0.4], "kappa": "1"}',
-        '{"kind": "gaussian", "P": null, "W": [1.0, 0.5], "N": [0.8, 0.4], "kappa": "1"}',
-        '{"kind": "gaussian", "P": 1.0, "W": 5, "N": [0.8, 0.4], "kappa": "1"}',
-        '{"kind": "binary", "p": [0.05, 0.1], "beta": [0.2, null], "kappa": "1"}',
-        "[1, 2]",
+        ('{"kind": "binary", "p": [NaN, 0.1], "beta": [0.2, 0.1], "kappa": "1"}', []),
+        ('{"kind": "gaussian", "P": Infinity, "W": [1.0, 0.5], "N": [0.8, 0.4], "kappa": "1"}', []),
+        ('{"kind": "gaussian", "P": null, "W": [1.0, 0.5], "N": [0.8, 0.4], "kappa": "1"}', []),
+        ('{"kind": "gaussian", "P": 1.0, "W": 5, "N": [0.8, 0.4], "kappa": "1"}', []),
+        ('{"kind": "binary", "p": [0.05, 0.1], "beta": [0.2, null], "kappa": "1"}', []),
+        ("[1, 2]", []),
+        ('{"kind": "gaussian", "P": 1.0, "W": [1.0, 0.5], "N": [0.8, 0.4], "kappa": "1e400"}', []),
+        ('{"kind": "binary", "p": [0.05, 0.1], "beta": [0.2, 0.1], "kappa": "1e400"}', []),
+        ('{"kind": "gaussian", "P": 1.0, "W": [1.0, 0.5], "N": [0.8, 0.4], "kappa": "1e-400"}', []),
+        ('{"kind": "binary", "p": [0.05, 0.1], "beta": [0.2, 0.1], "kappa": "1e-400"}', []),
+        (json.dumps(GAUSSIAN), ["--kappa-override", "1e400"]),
     ],
-    ids=["nan-crossover", "inf-power", "null-power", "scalar-noise", "null-beta", "top-level-list"],
+    ids=["nan-crossover", "inf-power", "null-power", "scalar-noise", "null-beta", "top-level-list",
+         "huge-kappa-gaussian", "huge-kappa-binary", "tiny-kappa-gaussian", "tiny-kappa-binary",
+         "huge-kappa-override"],
 )
-def test_compare_malformed_problem_is_usage_error(tmp_path, capsys, text):
+def test_compare_malformed_problem_is_usage_error(tmp_path, capsys, text, extra):
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert main(["compare", "--problem", str(path), "--schemes", "cds,uncoded,lds",
-                 "--out", str(tmp_path / "o")]) == 2
+                 "--out", str(tmp_path / "o"), *extra]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_compare_subnormal_kappa_runs(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(dict(GAUSSIAN, kappa="1e-320")))
+    assert main(["compare", "--problem", str(path), "--schemes", "cds,lds,separate",
+                 "--resolution", "11", "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "o" / "lds.csv").exists()
 
 
 def test_compare_rejects_three_receivers(tmp_path, capsys):

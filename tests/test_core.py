@@ -63,6 +63,8 @@ NAN, INF = float("nan"), float("inf")
         ("sideinfo_vars", [None, 0.4]),
         ("sideinfo_vars", [0.8, 0.4, 0.5]),
         ("kappa", None),
+        ("kappa", "1e400"),
+        ("kappa", "1e-400"),
     ],
 )
 def test_gaussian_invariant_violations(field, value):
@@ -90,6 +92,8 @@ def test_gaussian_invariant_violations(field, value):
         ("sideinfo_crossovers", "ab"),
         ("sideinfo_crossovers", [0.2]),
         ("kappa", 0),
+        ("kappa", "1e400"),
+        ("kappa", "1e-400"),
     ],
 )
 def test_binary_invariant_violations(field, value):
@@ -165,9 +169,10 @@ def test_rate_triple_clamp():
 
 def test_distortion_point_bounds():
     p = GaussianProblem(power=1, noise_vars=[1, 0.5], sideinfo_vars=[0.8, 0.4])
-    assert DistortionPoint(D=(0.4, 0.3), scheme="x").within_bounds(p)
-    assert not DistortionPoint(D=(0.9, 0.3), scheme="x").within_bounds(p)
-    assert not DistortionPoint(D=(-0.1, 0.3), scheme="x").within_bounds(p)
+    require_within_bounds(p, DistortionPoint(D=(0.4, 0.3), scheme="x").D)
+    for D in [(0.9, 0.3), (-0.1, 0.3)]:
+        with pytest.raises(BoundsViolation, match="D1"):
+            require_within_bounds(p, DistortionPoint(D=D, scheme="x").D)
 
 
 def test_require_within_bounds_raises_named_error():

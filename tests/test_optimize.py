@@ -13,11 +13,7 @@ from wzbc.gaussian import (
     gaussian_lds_distortions,
     lds_parametric_cloud,
 )
-from wzbc.optimize import (
-    lower_convex_envelope,
-    lower_envelope_indices,
-    pareto_merge,
-)
+from wzbc.optimize import lower_convex_envelope, lower_envelope_indices
 
 
 def test_envelope_drops_point_above_chord():
@@ -218,24 +214,6 @@ def test_envelope_degenerate_sets(points, expected):
     xy = np.array(points, dtype=float)
     keep = lower_envelope_indices(xy[:, 0], xy[:, 1])
     assert [tuple(xy[i]) for i in keep] == expected
-
-
-def test_pareto_merge_idempotent_and_dominating():
-    a = lower_convex_envelope([(0.0, 1.0), (1.0, 0.0)])
-    assert [(p.D[0], p.D[1]) for p in pareto_merge([a, a]).points] == [
-        (0.0, 1.0),
-        (1.0, 0.0),
-    ]
-    dominated = lower_convex_envelope([(0.2, 0.9)])
-    dominating = lower_convex_envelope([(0.1, 0.5)])
-    merged = pareto_merge([dominated, dominating])
-    assert [(p.D[0], p.D[1]) for p in merged.points] == [(0.1, 0.5)]
-    # commutative on point sets
-    m1 = pareto_merge([a, dominating])
-    m2 = pareto_merge([dominating, a])
-    assert [(p.D[0], p.D[1]) for p in m1.points] == [(p.D[0], p.D[1]) for p in m2.points]
-    with pytest.raises(ValueError):
-        pareto_merge([])
 
 
 def test_power_axis_sweep_matches_closed_form():

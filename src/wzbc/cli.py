@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import itertools
 import json
 import math
 import os
@@ -57,7 +59,7 @@ def _threads() -> int:
 
 def _write_csv(path, scheme, params, rows):
     # "%.17g" formats float(x), so numpy floats and Fractions print as floats
-    body = "".join("%.17g,%.17g\n" % (d1, d2) for d1, d2 in rows)
+    body = ("%.17g,%.17g\n" * len(rows)) % tuple(itertools.chain.from_iterable(rows))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# scheme={scheme}, params={params}\n# columns=D1,D2\n")
         fh.write(body)
@@ -166,7 +168,8 @@ def cmd_compare(args) -> int:
         )
     if args.kappa_override is not None:
         problem = dataclasses.replace(problem, kappa=args.kappa_override)
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+    # a repeated name is computed and written once
+    schemes = list(dict.fromkeys(s.strip() for s in args.schemes.split(",") if s.strip()))
     if not schemes:
         raise UsageError("empty scheme list")
     known = COMPARE_SCHEMES[type(problem)]
@@ -229,8 +232,7 @@ def _suite_gaussian_oracle(tol, seed):
     for P, W, N, kappa in instances:
         problem = GaussianProblem(P, W, N, kappa)
         assign = gs.choose_refinement_receiver(problem)
-        cloud = gs.lds_parametric_cloud(problem, assign, 400, 400)
-        keep = lower_envelope_indices(cloud["d_c"], cloud["d_r"])
+        env_dc, env_dr = gs.lds_cloud_envelope(problem, assign, 400, 400)
         if kappa == 1:
             dmin, dmax = gs.gaussian_lds_dc_range(problem, assign)
             curve = gs.gaussian_lds_closed_form
@@ -238,7 +240,7 @@ def _suite_gaussian_oracle(tol, seed):
             dmin, dmax = gs.gaussian_cds(problem).D[assign.c], N[assign.c]
             curve = gs.gaussian_lds_curve
         samples = np.linspace(dmin, dmax, 50)
-        env = np.interp(samples, cloud["d_c"][keep], cloud["d_r"][keep])
+        env = np.interp(samples, env_dc, env_dr)
         exact = curve(problem, assign, samples)
         deviations.append(float(np.max(np.abs(env - exact))))
     worst = max(deviations)
@@ -461,7 +463,9 @@ def cmd_point(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by later ones."""
     parser = argparse.ArgumentParser(
         prog="wzbc",
         description="Distortion tradeoff regions for lossy broadcast with receiver "

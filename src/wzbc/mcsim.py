@@ -7,9 +7,14 @@ batch-index order, so results are bit-identical regardless of how many
 worker threads execute the batches.
 
 All batches of all receivers of one simulation run on one pool.  Each
-worker allocates its float64 work buffers once, min(BATCH_SPAN, samples)
-long, and every batch draws into them with ``out=`` and does its arithmetic
-in place, in the order of the elementwise expressions it implements.
+worker allocates its float64 work buffers once, each of them batch-long
+(min(BATCH_SPAN, samples)) or a BLOCK_CELLS scratch piece, and every batch
+draws into them with ``out=`` and does its arithmetic in place, in the order
+of the elementwise expressions it implements.  The uncoded Gaussian batch
+holds the source and one channel output batch-long and draws each noise
+vector piece by piece, in stream order, into two scratch pieces: a PCG64
+``standard_normal`` of doubles keeps no state between calls, so the pieces
+are the draws of one batch-long call.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinaryProblem, GaussianProblem, require_bandwidth_match
+from .core import BLOCK_CELLS, BinaryProblem, GaussianProblem, require_bandwidth_match
 
 BATCH_SPAN = 1 << 18
 
@@ -72,13 +77,13 @@ def _rng(seed: int, stream: int, batch: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream, batch))))
 
 
-def _reduce_batches(cfg: SimConfig, batch_fns, buffers: int, threads: int = 1) -> MCEstimate:
+def _reduce_batches(cfg: SimConfig, batch_fns, lengths, threads: int = 1) -> MCEstimate:
     """Estimate of every stream, all batches of all streams on one pool.
 
     batch_fns[k](rng, work) returns (total, total_sq) of one batch of stream
-    k, drawn into and computed in ``work``: ``buffers`` float64 arrays of the
-    batch length, views of the running worker's own buffers.  Batch sums are
-    reduced in batch order.
+    k, drawn into and computed in ``work``: one float64 array per entry of
+    ``lengths``, a view of the running worker's own buffer of that length
+    cut to at most the batch length.  Batch sums are reduced in batch order.
     """
     span = min(BATCH_SPAN, cfg.samples)
     batches = list(_batches(cfg.samples))
@@ -89,7 +94,7 @@ def _reduce_batches(cfg: SimConfig, batch_fns, buffers: int, threads: int = 1) -
         k, index, n = job
         work = getattr(local, "work", None)
         if work is None:
-            work = local.work = [np.empty(span) for _ in range(buffers)]
+            work = local.work = [np.empty(min(length, span)) for length in lengths]
         return batch_fns[k](_rng(cfg.seed, k, index), [b[:n] for b in work])
 
     workers = min(threads, len(jobs))
@@ -136,20 +141,28 @@ def simulate_uncoded_gaussian(
 
         def batch(rng, work, W=W, N=N, rho=rho, a=a, b=b):
             # x = X, v = sqrt(P) X + sqrt(W) Z_v, y = rho X + sqrt(N) Z_y,
-            # se = (x - (a v + b y)) ** 2
+            # se = (x - (a v + b y)) ** 2; Z_v and Z_y are drawn in pieces
+            # of the scratch length, y one piece at a time
             x, v, y, z = work
             rng.standard_normal(out=x)
             np.multiply(math.sqrt(P), x, out=v)
-            v += np.multiply(math.sqrt(W), rng.standard_normal(out=z), out=z)
-            np.multiply(rho, x, out=y)
-            y += np.multiply(math.sqrt(N), rng.standard_normal(out=z), out=z)
-            v *= a
-            y *= b
-            v += y
+            pieces = [slice(lo, lo + z.size) for lo in range(0, x.size, z.size)]
+            for piece in pieces:
+                zp = z[:v[piece].size]
+                v[piece] += np.multiply(math.sqrt(W), rng.standard_normal(out=zp), out=zp)
+            for piece in pieces:
+                vp = v[piece]
+                zp, yp = z[:vp.size], y[:vp.size]
+                np.multiply(rho, x[piece], out=yp)
+                yp += np.multiply(math.sqrt(N), rng.standard_normal(out=zp), out=zp)
+                vp *= a
+                yp *= b
+                vp += yp
             return _square_sums(np.subtract(x, v, out=x))
 
         batch_fns.append(batch)
-    return _reduce_batches(cfg, batch_fns, 4, threads)
+    lengths = (BATCH_SPAN, BATCH_SPAN, BLOCK_CELLS, BLOCK_CELLS)  # x, v, y and z pieces
+    return _reduce_batches(cfg, batch_fns, lengths, threads)
 
 
 def simulate_uncoded_binary(
@@ -176,7 +189,7 @@ def simulate_uncoded_binary(
             return errors, errors  # exact: counts stay below 2**53; err^2 == err
 
         batch_fns.append(batch)
-    return _reduce_batches(cfg, batch_fns, 1, threads)
+    return _reduce_batches(cfg, batch_fns, (BATCH_SPAN,), threads)
 
 
 def simulate_gaussian_wz_estimator(
@@ -213,4 +226,4 @@ def simulate_gaussian_wz_estimator(
         z /= denom
         return _square_sums(np.subtract(x, z, out=x))
 
-    return _reduce_batches(cfg, [batch], 4, threads)
+    return _reduce_batches(cfg, [batch], (BATCH_SPAN,) * 4, threads)

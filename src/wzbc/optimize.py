@@ -25,6 +25,50 @@ def _staircase(x, y):
     return order[stair]
 
 
+def _undominated(sx, sy, x, y):
+    """Indices of the points of (x, y) that the staircase (sx, sy) does not dominate.
+
+    The staircase is strictly increasing in sx and strictly decreasing in sy.
+    A point is dropped when it is componentwise >= the last staircase point
+    with ``sx <= x`` without being an exact duplicate of it: a staircase point
+    that is no higher precedes it in (x, y) order, so it is never on the
+    staircase of the union.  Duplicates of a staircase point are kept, so the
+    staircase of the union keeps the point of lowest index among equal
+    coordinates.
+    """
+    left = np.searchsorted(sx, x, side="right") - 1
+    dominated = (left >= 0) & (sy[left] <= y) & ((sx[left] != x) | (sy[left] != y))
+    return np.flatnonzero(~dominated)
+
+
+def _monotone_chain(x, y) -> list:
+    """Positions of the lower hull vertices of a staircase, by Andrew's monotone chain.
+
+    The points are strictly increasing in x and strictly decreasing in y, so
+    the last point is a vertex; collinear interior points are dropped.
+    """
+    px = x.tolist()
+    py = y.tolist()
+    hull = []
+    for k in range(len(px)):
+        while len(hull) >= 2:
+            i, j = hull[-2], hull[-1]
+            if (px[j] - px[i]) * (py[k] - py[i]) - (py[j] - py[i]) * (px[k] - px[i]) > 0:
+                break
+            hull.pop()
+        hull.append(k)
+    return hull
+
+
+def _finite_coordinates(x, y):
+    """x and y as float arrays; ValueError unless every coordinate is finite."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("envelope requires finite coordinates")
+    return x, y
+
+
 def lower_envelope_indices(x, y):
     """Indices (into the input arrays) of the lower-left convex boundary.
 
@@ -36,48 +80,56 @@ def lower_envelope_indices(x, y):
 
     Three exact steps, each on fewer points:
 
-    1. Sampled-dominance prefilter.  The staircase of the strided sample
-       ``x[::step], y[::step]`` with ``step = isqrt(n)`` is taken, and every
-       point that is componentwise <= the last sample-staircase point with
-       ``sx <= x``, without being an exact duplicate of it, is dropped.  Such a
-       point is preceded in (x, y) order by a kept point that is no higher, so
-       it is never on the staircase, and removing it changes no running
-       minimum of the sweep below.  Sample-staircase points are never dropped
-       (the last one with ``sx <= x`` is the point itself, a duplicate), and
-       duplicates of a dominator are kept, so the survivors keep the point of
-       lowest index among equal coordinates.
+    1. Sampled-dominance prefilter: the points that the staircase of the
+       strided sample ``x[::step], y[::step]`` with ``step = isqrt(n)``
+       dominates are dropped (``_undominated``).  Sample-staircase points are
+       never dropped, and removing a dominated point changes no running
+       minimum of the sweep below.
     2. The staircase of the survivors (``_staircase``): indices in the order
        of a stable sort of the survivors, which is their order in a sort of
        every point, so the same indices as on the full set.
-    3. Andrew's monotone chain on that staircase, which is strictly increasing
-       in x and strictly decreasing in y, so its last point is the first
-       vertex of minimal y.
+    3. Andrew's monotone chain on that staircase (``_monotone_chain``).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _finite_coordinates(x, y)
     if x.size == 0:
         raise ValueError("envelope of an empty point set")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("envelope requires finite coordinates")
     step = math.isqrt(x.size)
     sx, sy = x[::step], y[::step]
     top = _staircase(sx, sy)
-    sx, sy = sx[top], sy[top]
-    left = np.searchsorted(sx, x, side="right") - 1  # last sample-staircase point with sx <= x
-    dominated = (left >= 0) & (sy[left] <= y) & ((sx[left] != x) | (sy[left] != y))
-    survivors = np.flatnonzero(~dominated)
+    survivors = _undominated(sx[top], sy[top], x, y)
     order = survivors[_staircase(x[survivors], y[survivors])]
-    px = x[order].tolist()
-    py = y[order].tolist()
-    hull = []  # positions into order
-    for k in range(len(order)):
-        while len(hull) >= 2:
-            i, j = hull[-2], hull[-1]
-            if (px[j] - px[i]) * (py[k] - py[i]) - (py[j] - py[i]) * (px[k] - px[i]) > 0:
-                break
-            hull.pop()
-        hull.append(k)
-    return order[hull].tolist()
+    return order[_monotone_chain(x[order], y[order])].tolist()
+
+
+def streamed_lower_envelope(blocks) -> tuple:
+    """(x, y) arrays of the lower-left convex boundary of a stream of point blocks.
+
+    ``blocks`` yields (x, y) array pairs.  Only a running Pareto staircase is
+    held: each block's points that it dominates are dropped
+    (``_undominated``) and the staircase of (running staircase + the rest) is
+    the new one.  The Pareto-minimal coordinates of a union are those of (the
+    Pareto-minimal coordinates of one part + the other part), and the steps
+    only compare coordinates, so the final staircase holds the same points in
+    the same order as the staircase of all blocks together, and the monotone
+    chain gives the vertices of ``lower_envelope_indices`` on the
+    concatenated blocks, as coordinates.
+    """
+    sx = sy = np.empty(0)
+    for x, y in blocks:
+        x, y = _finite_coordinates(x, y)
+        if sx.size:
+            rest = _undominated(sx, sy, x, y)
+            x, y = x[rest], y[rest]
+        if x.size == 0:
+            continue
+        x = np.concatenate((sx, x))
+        y = np.concatenate((sy, y))
+        top = _staircase(x, y)
+        sx, sy = x[top], y[top]
+    if sx.size == 0:
+        raise ValueError("envelope of an empty point set")
+    hull = _monotone_chain(sx, sy)
+    return sx[hull], sy[hull]
 
 
 def lower_convex_envelope(points) -> TradeoffCurve:

@@ -103,6 +103,15 @@ def test_compare_converse_always_emitted(tmp_path, gaussian_file):
     assert (out / "converse.csv").exists()
 
 
+def test_compare_repeated_scheme_is_computed_once(tmp_path, gaussian_file, capsys):
+    out = tmp_path / "o"
+    assert main(["compare", "--problem", gaussian_file, "--schemes", "lds,lds,converse",
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("*.csv")) == ["converse.csv", "lds.csv"]
+    assert capsys.readouterr().out == f"wrote 2 CSV file(s) and {out / 'plot.gp'} to {out}\n"
+    assert (out / "plot.gp").read_text(encoding="utf-8").count("'lds.csv'") == 1
+
+
 def test_compare_binary_rejects_gaussian_only_scheme(tmp_path, binary_file, capsys):
     # only a name whose prefix is a Gaussian-only scheme is called gaussian-only
     for scheme, err in [

@@ -25,9 +25,11 @@ from wzbc.gaussian import (
     gaussian_trivial_converse,
     gaussian_uncoded,
     gaussian_wz_distortion,
+    lds_cloud_envelope,
     lds_parametric_cloud,
     separate_coding_labels,
 )
+from wzbc.optimize import lower_envelope_indices
 
 P_A = GaussianProblem(power=1, noise_vars=(1, 0.5), sideinfo_vars=(0.8, 0.4), kappa=1)
 P_B = GaussianProblem(power=1, noise_vars=(2, 0.5), sideinfo_vars=(0.3, 0.9), kappa=1)
@@ -527,6 +529,37 @@ def test_parametric_cloud_equals_full_grid_reference_bitwise(kappa, grid, common
             assert same_bits(cloud[key], ref[key]), key
         # the nu = 0 corner is a grid cell or the appended last point
         assert has_zero or (cloud["nu"][-1], cloud["gamma"][-1]) == (0.0, 0.0)
+
+
+def envelope_corpus():
+    """(problem, nu_count, gamma_count): the four gaussian-oracle instances at
+    its 400 x 400 grid and at 401 x 401, whose gamma grid lacks 0, then seeded
+    problems at kappa 1, 1/2, 2 and 3/7 on smaller grids with and without 0."""
+    suite = np.random.default_rng(42)  # the seeded third instance of --seed 42
+    third = GaussianProblem(float(suite.uniform(0.5, 4)), tuple(suite.uniform(0.25, 4, 2)),
+                            tuple(suite.uniform(0.1, 1, 2)), 1)
+    oracle = [P_A, P_B, third, GaussianProblem(1, (1, 0.5), (0.8, 0.4), Fraction(1, 2))]
+    cases = [(p, 400, count) for p in oracle for count in (400, 401)]
+    rng = np.random.default_rng(2025)
+    for kappa in (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3, 7)):
+        for grid in ((120, 401), (161, 121), (97, 200)):
+            base = random_problem(rng)
+            problem = GaussianProblem(base.power, base.noise_vars, base.sideinfo_vars, kappa)
+            cases.append((problem, *grid))
+    return cases
+
+
+def test_cloud_envelope_equals_envelope_of_materialized_cloud():
+    corner = 0
+    for problem, nu_count, gamma_count in envelope_corpus():
+        for assign in (choose_refinement_receiver(problem), RoleAssignment(2, 1)):
+            cloud = lds_parametric_cloud(problem, assign, nu_count, gamma_count)
+            keep = lower_envelope_indices(cloud["d_c"], cloud["d_r"])
+            d_c, d_r = lds_cloud_envelope(problem, assign, nu_count, gamma_count)
+            assert d_c.tolist() == cloud["d_c"][keep].tolist()
+            assert d_r.tolist() == cloud["d_r"][keep].tolist()
+            corner += not np.any(np.linspace(-1.0, 2.0, gamma_count) == 0.0)
+    assert corner > 0  # the appended nu = 0 corner takes part
 
 
 def test_closed_forms_accept_arrays_bitwise():

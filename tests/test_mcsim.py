@@ -153,6 +153,27 @@ def test_uncoded_binary_estimate_is_pinned(seed, threads):
     assert tuple(s.hex() for s in est.stderr) == stderr
 
 
+# estimates from batch-long noise buffers; drawing the noise in BLOCK_CELLS
+# pieces must reproduce them bit for bit at every thread count
+GAUSSIAN_ESTIMATES = {
+    1: (("0x1.c564a4a6359ffp-2", "0x1.c7526d279a123p-3"),
+        ("0x1.4917852613556p-11", "0x1.49bfad01b5279p-12")),
+    13: (("0x1.c6b4f843d7120p-2", "0x1.c6aee5f68bd6ap-3"),
+         ("0x1.49b0587000c58p-11", "0x1.491dfddc69663p-12")),
+    42: (("0x1.c849268498f73p-2", "0x1.c62ca515da142p-3"),
+         ("0x1.4a4f7cbadb8b5p-11", "0x1.491811edc8e53p-12")),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("seed", sorted(GAUSSIAN_ESTIMATES))
+def test_uncoded_gaussian_estimate_is_pinned(seed, threads):
+    est = simulate_uncoded_gaussian(GAUSSIAN, SimConfig(10**6, seed), threads)
+    mean, stderr = GAUSSIAN_ESTIMATES[seed]
+    assert tuple(m.hex() for m in est.mean) == mean
+    assert tuple(s.hex() for s in est.stderr) == stderr
+
+
 # float.hex of every (mean, stderr) from the former per-receiver pools, which
 # drew every batch into fresh arrays; 10**6 + 17 samples end in a partial
 # batch and 1000 lie below BATCH_SPAN.  Receiver 1 of SIDE_BINARY (p > beta)

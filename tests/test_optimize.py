@@ -13,7 +13,11 @@ from wzbc.gaussian import (
     gaussian_lds_distortions,
     lds_parametric_cloud,
 )
-from wzbc.optimize import lower_convex_envelope, lower_envelope_indices
+from wzbc.optimize import (
+    lower_convex_envelope,
+    lower_envelope_indices,
+    streamed_lower_envelope,
+)
 
 
 def test_envelope_drops_point_above_chord():
@@ -185,6 +189,31 @@ def test_envelope_indices_match_reference_on_parametric_cloud():
     keep = lower_envelope_indices(cloud["d_c"], cloud["d_r"])
     assert keep == reference_envelope_indices(cloud["d_c"], cloud["d_r"])
     assert len(keep) > 10
+
+
+@pytest.mark.parametrize("side", [9, 41])
+@pytest.mark.parametrize("blocks", [1, 2, 7, 40])
+def test_streamed_envelope_equals_envelope_of_concatenated_blocks(blocks, side):
+    # grid points rich in duplicates, ties and collinear triples, cut into
+    # blocks of random sizes, empty blocks among them
+    rng = np.random.default_rng(blocks * side)
+    for _ in range(20):
+        x = rng.integers(0, side, 400) / 4.0
+        y = rng.integers(0, side, 400) / 4.0
+        cuts = np.sort(rng.integers(0, x.size + 1, blocks - 1))
+        parts = list(zip(np.split(x, cuts), np.split(y, cuts)))
+        keep = lower_envelope_indices(x, y)
+        sx, sy = streamed_lower_envelope(iter(parts))
+        assert (sx.tolist(), sy.tolist()) == (x[keep].tolist(), y[keep].tolist())
+
+
+def test_streamed_envelope_rejects_empty_and_non_finite_input():
+    with pytest.raises(ValueError, match="empty"):
+        streamed_lower_envelope([])
+    with pytest.raises(ValueError, match="empty"):
+        streamed_lower_envelope([(np.empty(0), np.empty(0))])
+    with pytest.raises(ValueError, match="finite"):
+        streamed_lower_envelope([([0.0, 1.0], [1.0, 0.0]), ([0.5], [np.nan])])
 
 
 @pytest.mark.parametrize("size", [1, 2, 5, 100, 2000])

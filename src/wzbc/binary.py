@@ -27,9 +27,9 @@ The layered region is one table-driven pass per role assignment:
    fit) with the largest R_rr: the first admitting tuple in a stable
    R_rr-descending order, found by an argmax over bounded blocks of
    (cell, tuple) pairs.  Dominated tuples are never chosen, so none are pruned;
-3. refinement -- for every cell with an admitting tuple each alpha_r <= alpha_c
-   takes the largest q_r within the budget, at least q_c, and the best
-   alpha_r is kept, in bounded blocks of (cell, alpha_r) pairs; every
+3. refinement -- for every cell with an admitting tuple, the last-layer
+   kernel ``_last_layer`` gives each alpha_r <= alpha_c the largest q_r
+   within the budget, at least q_c, and keeps the best alpha_r; every
    candidate point is bounds-checked and reduced to its envelope vertices;
 4. envelope -- the lower convex envelope of the kept vertices of both role
    assignments (plus the zero-rate corners) is the region.
@@ -43,10 +43,10 @@ distortion never gets worse as the cumulative cap grows.
 2. theta -- each (q_b, alpha_b) cell keeps, of the thetas whose bad cap admits
    its rate, the one with the largest cumulative cap (a stable sort of theta
    by bad cap, a prefix argmax of the cumulative cap and a searchsorted);
-3. good description -- each alpha_g takes the largest q_g whose cumulative
-   rate fits that cap, put in degradation order with the bad description,
-   and the alpha_g with the smallest d_g is kept, in bounded blocks of
-   (cell, alpha_g) pairs;
+3. good description -- the same last-layer kernel gives each alpha_g the
+   largest q_g whose cumulative rate fits that cap, put in either degradation
+   order with the bad description, and keeps the alpha_g with the smallest
+   d_g;
 4. envelope -- the candidate points are bounds-checked once and reduced to
    their envelope vertices.
 
@@ -348,6 +348,58 @@ def _lds_channel_table(p_c, p_r, kappa, resolution):
     )
 
 
+def _last_layer(budgets, q_o, a_o, strict, gain):
+    """alpha grid index and q of the best last description per cell, the
+    first alpha on ties.
+
+    budgets holds rows (a, b) of the linear rate constraints q * a(alpha) <= b:
+    a is on the alpha grid and b has one entry per cell.  Each alpha takes
+    q = clip(min of b / a over the a > 0, 0, 1), or 1 where every a is 0.
+    q_o and a_o are the q and alpha grid index of each cell's outer
+    description.  An alpha below a_o (and a_o itself when strict) must refine
+    the outer description: it is admitted when q_o * a <= b + FEAS_TOL for
+    every budget, and its q is raised to q_o.  An alpha above a_o is excluded
+    when strict; otherwise its q is capped at q_o.  The best alpha has the
+    largest q * gain.  Cells are taken in blocks of BLOCK_CELLS // res.
+    """
+    res = gain.size
+    cols = np.arange(res)
+    # row i marks the alphas that must refine, or are coarser than, an outer
+    # alpha of index i
+    refine = cols <= cols[:, None] if strict else cols < cols[:, None]
+    coarser = cols > cols[:, None]
+    # a budget bounds only its columns with a > 0; the others divide by 1
+    # and are then set to inf
+    rows = [(a, np.where(a > 0.0, a, 1.0), a <= 0.0, b) for a, b in budgets]
+    alpha = np.empty(q_o.size, dtype=np.int64)
+    q_best = np.empty(q_o.size)
+    step = max(1, BLOCK_CELLS // res)
+    for start in range(0, q_o.size, step):
+        blk = slice(start, start + step)
+        qo, ao = q_o[blk, None], a_o[blk]
+        must_refine = refine.take(ao, axis=0)
+        q = fits = None
+        for a, divisor, unbound, b in rows:
+            b = b[blk, None]
+            quot = b / divisor
+            quot[:, unbound] = np.inf
+            q = quot if q is None else np.minimum(q, quot, out=q)
+            fit = qo * a <= b + FEAS_TOL
+            fits = fit if fits is None else np.logical_and(fits, fit, out=fits)
+        np.clip(q, 0.0, 1.0, out=q)
+        if strict:  # the columns past a_o are excluded, so raise them all
+            np.maximum(q, qo, out=q)
+            admit = np.logical_and(fits, must_refine, out=fits)
+        else:
+            np.maximum(q, qo, out=q, where=must_refine)
+            np.minimum(q, qo, out=q, where=coarser.take(ao, axis=0))
+            admit = np.logical_or(fits, ~must_refine, out=fits)
+        best = np.where(admit, q * gain, -np.inf).argmax(axis=1)
+        alpha[blk] = best
+        q_best[blk] = q[np.arange(best.size), best]
+    return alpha, q_best
+
+
 def _lds_refinement_search(problem, assign, resolution, rates):
     """Envelope vertices of the refinement search over channel triples.
 
@@ -360,9 +412,9 @@ def _lds_refinement_search(problem, assign, resolution, rates):
     in the budget, so of the tuples whose R_cc and R_cr admit a cell, one with
     the largest R_rr attains the cell's best D_r.  Each cell therefore takes
     the first admitting tuple in a stable R_rr-descending order, found by an
-    argmax over blocks of at most BLOCK_CELLS (cell, tuple) pairs.  Then the
-    best alpha_r of every cell is taken over blocks of at most BLOCK_CELLS
-    (cell, alpha_r) pairs.  Every candidate is bounds-checked and the
+    argmax over blocks of at most BLOCK_CELLS (cell, tuple) pairs.  Then
+    _last_layer, with the one budget and in strict order, takes the best
+    alpha_r of every cell.  Every candidate is bounds-checked and the
     candidates are reduced to their envelope vertices.  Returns (D, idx, q_r):
     D is a (2, m) array of receiver-order distortions, idx an (m, 4) array of
     indices (tuple row, q_c, alpha_c, alpha_r) and q_r the m refinement q values.
@@ -389,21 +441,7 @@ def _lds_refinement_search(problem, assign, resolution, rates):
     qc, ac = np.divmod(cell, res)
     budget = rates[t, 2] + src_r[cell]
     gain = beta_r - np.minimum(alphas, beta_r)  # D_r = beta_r - q_r * gain
-    described = r_r > 0.0  # alpha_r < beta_r: q_r is bounded by the budget
-    ar = np.empty(cell.size, dtype=np.int64)
-    qr = np.empty(cell.size)
-    step = max(1, BLOCK_CELLS // res)
-    for start in range(0, cell.size, step):
-        blk = slice(start, start + step)
-        b = budget[blk, None]
-        q_c = qs[qc[blk], None]
-        q = np.ones((b.shape[0], res))
-        q[:, described] = np.minimum(b / r_r[described], 1.0)
-        admit = (q_c * r_r <= b + FEAS_TOL) & (np.arange(res) <= ac[blk, None])
-        np.maximum(q, q_c, out=q)
-        best = np.where(admit, q * gain, -np.inf).argmax(axis=1)
-        ar[blk] = best
-        qr[blk] = q[np.arange(best.size), best]
+    ar, qr = _last_layer([(r_r, budget)], qs[qc], ac, True, gain)
     d = np.empty((2, cell.size))
     d[assign.c] = layer_distortion(qs[qc], alphas[ac], beta_c)
     d[assign.r] = layer_distortion(qr, alphas[ar], beta_r)
@@ -540,53 +578,6 @@ def _separate_best_theta(cap_b, cap_tot, need):
     return np.where(count > 0, best[count - 1], -1)
 
 
-def _separate_good_q(T, S, E, q_b, ab, r_gg, r_gb, good_first):
-    """Largest good-description q_g per (cell, alpha_g), NaN out of order.
-
-    T, S, E, q_b and ab are (n, 1) columns per (q_b, alpha_b) cell: the
-    cumulative cap, the bad-description rate q_b r(alpha_b, beta_b), its rate
-    q_b r(alpha_b, beta_g) at the good receiver, q_b and the alpha_b grid
-    index; r_gg and r_gb are r(alpha_g, beta_g) and r(alpha_g, beta_b) on the
-    alpha grid.  When the good receiver has the better side information the
-    cumulative rate S + (q_g r_gg - E)^+ fits T when q_g r_gg <= T - S + E;
-    otherwise q_g r_gg + (S - q_g r_gb)^+ fits T when q_g r_gg <= T and
-    q_g (r_gg - r_gb) <= T - S.  q_g is then clipped to [0, 1] and put in
-    degradation order with the bad description: q_g <= q_b when
-    alpha_g > alpha_b, and when alpha_g < alpha_b the pair is admitted only
-    if q_g >= q_b - FEAS_TOL, with q_g raised to q_b.
-    """
-    described = r_gg > 0.0  # alpha_g < beta_g: q_g is bounded by the caps
-    q = np.ones(np.broadcast_shapes(T.shape, r_gg.shape))
-    r = r_gg[described]
-    if good_first:
-        q[:, described] = (T - S + E) / r
-    else:
-        step = r - r_gb[described]  # >= 0: r grows with the side-information crossover
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q[:, described] = np.minimum(T / r, np.where(step > 0.0, (T - S) / step, np.inf))
-    np.clip(q, 0.0, 1.0, out=q)
-    ag = np.arange(r_gg.size)
-    np.minimum(q, q_b, out=q, where=ag > ab)
-    earlier = ag < ab
-    out_of_order = earlier & (q < q_b - FEAS_TOL)
-    np.maximum(q, q_b, out=q, where=earlier)
-    q[out_of_order] = np.nan
-    return q
-
-
-def _separate_best_good(T, S, E, q_b, ab, r_gg, r_gb, good_first, gain):
-    """alpha_g grid index and q_g of the smallest good-receiver distortion
-    beta_g - q_g * gain per (q_b, alpha_b) cell, the first alpha_g on ties.
-
-    The arguments are those of _separate_good_q plus gain = beta_g -
-    min(alpha_g, beta_g) on the alpha grid.  alpha_g = alpha_b is always in
-    order, so every cell has a candidate.
-    """
-    q = _separate_good_q(T, S, E, q_b, ab, r_gg, r_gb, good_first)
-    best = np.where(np.isnan(q), -np.inf, q * gain).argmax(axis=1)
-    return best, q[np.arange(best.size), best]
-
-
 def binary_separate_region(problem: BinaryProblem, resolution: int = 41) -> TradeoffCurve:
     """Achievable tradeoff of separate source and channel coding.
 
@@ -606,7 +597,6 @@ def binary_separate_region(problem: BinaryProblem, resolution: int = 41) -> Trad
     res = qs.size
     thetas = np.linspace(0.0, 0.5, resolution)
     cap_b, cap_tot = _separate_caps(p_b, p_g, float(problem.kappa), thetas)
-    good_first = beta_g <= beta_b  # side information order: the good receiver's is better
     r_bb = wz_rate_kernel(alphas, beta_b)  # r(alpha, beta_b) on the alpha grid
     r_bg = wz_rate_kernel(alphas, beta_g)
     need = np.outer(qs, r_bb).ravel()  # bad-description rate per (q_b, alpha_b)
@@ -615,24 +605,22 @@ def binary_separate_region(problem: BinaryProblem, resolution: int = 41) -> Trad
     theta = theta[cell]
     qb_i, ab_i = np.divmod(cell, res)
     gain = beta_g - np.minimum(alphas, beta_g)  # d_g = beta_g - q_g * gain
-    ag_i = np.empty(cell.size, dtype=np.int64)
-    q_g = np.empty(cell.size)
-    step = max(1, BLOCK_CELLS // res)
-    for start in range(0, cell.size, step):
-        blk = slice(start, start + step)
-        q_b = qs[qb_i[blk], None]
-        ag_i[blk], q_g[blk] = _separate_best_good(
-            cap_tot[theta[blk], None],
-            need[cell[blk], None],
-            q_b * r_bg[ab_i[blk], None],
-            q_b,
-            ab_i[blk, None],
-            r_bg,
-            r_bb,
-            good_first,
-            gain,
-        )
-    d_b = layer_distortion(qs[qb_i], alphas[ab_i], beta_b)
+    # the cumulative cap T and the bad-description rates S at the bad and E at
+    # the good receiver
+    q_b = qs[qb_i]
+    T = cap_tot[theta]
+    S = need[cell]
+    if beta_g <= beta_b:
+        # the good receiver has the better side information: its cumulative
+        # rate S + (q_g r_bg - E)^+ fits T when q_g r_bg <= T - S + E
+        E = q_b * r_bg[ab_i]
+        budgets = [(r_bg, T - S + E)]
+    else:
+        # q_g r_bg + (S - q_g r_bb)^+ fits T when q_g r_bg <= T and
+        # q_g (r_bg - r_bb) <= T - S (r_bg >= r_bb, as r grows with beta)
+        budgets = [(r_bg, T), (r_bg - r_bb, T - S)]
+    ag_i, q_g = _last_layer(budgets, q_b, ab_i, False, gain)
+    d_b = layer_distortion(q_b, alphas[ab_i], beta_b)
     d_g = layer_distortion(q_g, alphas[ag_i], beta_g)
     x, y = (d_b, d_g) if b == 0 else (d_g, d_b)
     require_within_bounds(problem, (x, y))

@@ -6,7 +6,8 @@ Subcommands:
   point     -- evaluate a single scheme at explicit parameters, print JSON
 
 Exit codes: 0 success, 1 validation failure, 2 usage error (including a
-WZBC_THREADS value that is not a positive integer).
+WZBC_THREADS value that is not a positive integer and a compare --resolution
+below 3).
 Each validate suite has one named tolerance, ``max-dev`` (``n-stderr`` for
 mc-uncoded), which ``--tolerance NAME=VALUE`` overrides; any other name, or a
 value that is not a finite number >= 0, is a usage error.
@@ -161,6 +162,8 @@ def _emit_plot_script(out_dir, csvs):
 
 
 def cmd_compare(args) -> int:
+    if args.resolution < 3:
+        raise UsageError(f"--resolution must be at least 3, got {args.resolution}")
     problem = load_problem(args.problem)
     if problem.receivers != 2:
         raise UsageError(
@@ -422,10 +425,10 @@ def cmd_point(args) -> int:
             needed = ("q_c", "q_r", "alpha_c", "alpha_r", "gamma_r")
             if not all(k in params for k in needed):
                 raise UsageError(f"binary lds point requires {', '.join(needed)} (and t=uc|xor)")
-            t_choice = (
-                bn.TChoice.T_EQUALS_UC if params.get("t", "uc") == "uc"
-                else bn.TChoice.T_EQUALS_UC_XOR_UR
-            )
+            t = params.get("t", "uc")
+            if t not in ("uc", "xor"):
+                raise UsageError(f"binary lds point requires t=uc or t=xor, got t={t!r}")
+            t_choice = bn.TChoice(t)
             src = bn.BinarySourceParams(
                 params["q_c"], params["q_r"], params["alpha_c"], params["alpha_r"]
             )
@@ -478,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--schemes", required=True,
                            help="comma-separated scheme list")
     p_compare.add_argument("--resolution", type=int, default=41,
-                           help="grid points per axis (default 41)")
+                           help="grid points per axis, at least 3 (default 41)")
     p_compare.add_argument("--out", required=True, help="output directory")
     p_compare.add_argument("--seed", type=int, default=0)
     p_compare.add_argument("--kappa-override", default=None,

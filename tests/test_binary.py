@@ -27,12 +27,11 @@ from wzbc.binary import (
     layer_distortion,
     _binary_lds_vertices,
     _grids,
+    _last_layer,
     _lds_channel_table,
     _lds_refinement_search,
-    _separate_best_good,
     _separate_best_theta,
     _separate_caps,
-    _separate_good_q,
     FEAS_TOL,
     separate_coding_labels,
 )
@@ -773,6 +772,15 @@ def bisect_good_q(rate, T):
     return np.where(fits, 1.0, lo)
 
 
+def separate_budgets(T, S, E, r_gg, r_gb, good_first):
+    """The last-layer budgets of binary_separate_region for (n, 1) columns T
+    (cumulative cap), S and E (bad-description rate at the bad and at the
+    good receiver) and r_gg, r_gb = r(alpha_g, beta_g), r(alpha_g, beta_b)."""
+    if good_first:
+        return [(r_gg, (T - S + E)[:, 0])]
+    return [(r_gg, T[:, 0]), (r_gg - r_gb, (T - S)[:, 0])]
+
+
 @pytest.mark.parametrize("resolution", [7, 17])
 @pytest.mark.parametrize("good_first", [True, False])
 def test_separate_best_dg_equals_brute_force_at_tied_thresholds(good_first, resolution):
@@ -801,7 +809,8 @@ def test_separate_best_dg_equals_brute_force_at_tied_thresholds(good_first, reso
     T = np.maximum(T, S)  # a theta is chosen only when the bad description fits
     for k in range(T.shape[1]):
         Tk = T[:, k : k + 1]
-        ag, q_g = _separate_best_good(Tk, S, E, q_b, ab_i[:, None], r_gg, r_gb, good_first, gain)
+        budgets = separate_budgets(Tk, S, E, r_gg, r_gb, good_first)
+        ag, q_g = _last_layer(budgets, q_b[:, 0], ab_i, False, gain)
         got = layer_distortion(q_g, alphas[ag], beta_g)
         ags = np.arange(alphas.size)[None, :]
         q = bisect_good_q(lambda x: rate(x, ags), np.broadcast_to(Tk, (n, alphas.size)))
@@ -831,9 +840,72 @@ def test_separate_good_q_admits_an_earlier_alpha_g_by_half_the_slack(good_first)
     q_b, S, E = 0.5, 0.2, 0.225
     target = q_b - np.array([[0.5], [2.0]]) * FEAS_TOL
     T = S - E + target * r_gg[0] if good_first else target * r_gg[0]
-    q = _separate_good_q(T, S, E, q_b, 1, r_gg, r_gb, good_first)
-    assert q[0, 0] == q_b and np.isnan(q[1, 0])
-    assert np.all(q[:, 2] <= q_b)  # later alpha_g: capped by q_b
+    budgets = separate_budgets(T, np.full_like(T, S), np.full_like(T, E), r_gg, r_gb, good_first)
+    q_o, a_o = np.full(2, q_b), np.ones(2, dtype=np.int64)
+    # only alpha_g index 0 has a gain, so it wins wherever it is admitted
+    alpha, q = _last_layer(budgets, q_o, a_o, False, np.array([1.0, 0.0, 0.0]))
+    assert alpha.tolist() == [0, 1] and q[0] == q_b
+    # a later alpha_g is capped by q_b
+    alpha, q = _last_layer(budgets, q_o, a_o, False, np.array([0.0, 0.0, 1.0]))
+    assert alpha.tolist() == [2, 2] and np.all(q <= q_b)
+
+
+def one_cell_last_layer(budgets, q_o, a_o, strict, gain):
+    """_last_layer on one cell, from plain lists."""
+    rows = [(np.array(a, dtype=float), np.array([b])) for a, b in budgets]
+    alpha, q = _last_layer(rows, np.array([q_o]), np.array([a_o]), strict, np.array(gain))
+    return int(alpha[0]), float(q[0])
+
+
+def test_last_layer_strict_excludes_a_coarser_alpha_and_loose_caps_its_q():
+    budgets = [([0.5, 0.5], 0.4)]  # q = 0.8 in both columns
+    gain = [0.1, 1.0]  # the coarser alpha (index 1) has the larger gain
+    assert one_cell_last_layer(budgets, 0.2, 0, True, gain) == (0, 0.8)
+    assert one_cell_last_layer(budgets, 0.2, 0, False, gain) == (1, 0.2)
+
+
+def test_last_layer_at_the_outer_alpha_only_strict_raises_q():
+    # alpha index 1 is the outer one, where q = b lies FEAS_TOL / 2 or
+    # 2 FEAS_TOL below q_o; index 0 is unbounded and has no gain
+    gain = [0.0, 1.0]
+    for slack, admitted in ((0.5, True), (2.0, False)):
+        b = 0.5 - slack * FEAS_TOL
+        budgets = [([0.0, 1.0], b)]
+        assert one_cell_last_layer(budgets, 0.5, 1, False, gain) == (1, b)
+        want = (1, 0.5) if admitted else (0, 1.0)
+        assert one_cell_last_layer(budgets, 0.5, 1, True, gain) == want
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_last_layer_unbounded_column_takes_q_one(strict):
+    budgets = [([0.5, 0.0], 0.1), ([0.2, 0.0], 0.05)]
+    assert one_cell_last_layer(budgets, 0.0, 1, strict, [0.0, 1.0]) == (1, 1.0)
+
+
+def test_last_layer_two_budgets_take_the_smaller_quotient():
+    loose, tight = ([0.5], 0.4), ([0.25], 0.1)  # quotients 0.8 and 0.4
+    assert one_cell_last_layer([loose, tight], 0.0, 0, True, [1.0]) == (0, 0.4)
+    assert one_cell_last_layer([tight, loose], 0.0, 0, True, [1.0]) == (0, 0.4)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_last_layer_ties_pick_the_first_alpha(strict):
+    budgets = [([0.0, 0.0, 0.0], 0.5)]
+    assert one_cell_last_layer(budgets, 1.0, 1, strict, [1.0, 1.0, 1.0]) == (0, 1.0)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_last_layer_blocks_do_not_change_the_result(monkeypatch, strict):
+    rng = np.random.default_rng(5)
+    res, n = 9, 500
+    a = np.where(rng.random(res) < 0.2, 0.0, rng.random(res))
+    budgets = [(a, rng.random(n)), (a / 2, rng.random(n) - 0.1)]
+    q_o, a_o = rng.random(n), rng.integers(0, res, n)
+    gain = rng.random(res)
+    whole = _last_layer(budgets, q_o, a_o, strict, gain)
+    monkeypatch.setattr("wzbc.binary.BLOCK_CELLS", 4 * res)
+    blocked = _last_layer(budgets, q_o, a_o, strict, gain)
+    assert all(np.array_equal(x, y) for x, y in zip(whole, blocked))
 
 
 @pytest.mark.parametrize("problem", SEPARATE_PROBLEMS)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -138,6 +139,127 @@ def test_compare_unknown_scheme(tmp_path, gaussian_file, binary_file, capsys):
         assert main(["compare", "--problem", problem, "--schemes", "sorcery",
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: unknown scheme 'sorcery'; known: {known}\n"
+
+
+@pytest.mark.parametrize("resolution", [0, 2, -5])
+@pytest.mark.parametrize("kind", ["gaussian", "binary"])
+def test_compare_rejects_a_resolution_below_three(tmp_path, capsys, kind, resolution):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(GAUSSIAN if kind == "gaussian" else BINARY))
+    out = tmp_path / "o"
+    code = main(["compare", "--problem", str(path), "--schemes", "converse,cds,lds,separate",
+                 "--resolution", str(resolution), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --resolution must be at least 3, got {resolution}\n"
+    assert not out.exists()
+
+
+# binary problems of the pinned compare bytes: the README fixture (the good
+# receiver has the worse side information) and two fixed problems, one per
+# separate-coding side-information order
+PINNED_BINARY_PROBLEMS = {
+    "fixture": BINARY,
+    "good-first": {"kind": "binary", "p": [0.1, 0.03], "beta": [0.3, 0.12], "kappa": "1"},
+    "bad-first": {"kind": "binary", "p": [0.12, 0.04], "beta": [0.05, 0.35], "kappa": "1"},
+}
+# sha256 of converse.csv, cds.csv, lds.csv and separate.csv
+PINNED_BINARY_SHA256 = {
+    ("fixture", "1", 15): (
+        "433b4fdc8c41b07852b72cf80c57c2adaa24a19aa56aef4dff1ada4349886f16",
+        "ff7561526cda89a4748889716e0ff877f338e910e981d2a52897d92c9250a0ab",
+        "ea1a0c5db036e9abf03a918b799f78b9c126f054f17fbd6abb57085042ecac73",
+        "6fc9f1002fbf2abcd4277ae011fa101ca45acd8849a71e12f5f5be81294a4190",
+    ),
+    ("fixture", "1", 27): (
+        "f937608e6357fb86de7ffd511b41860427aa3aeffa1f29158fdec34cf2aa3f04",
+        "4ff592b97c9dca2e0a7567c6bef5f661327dd9c2b75a988bce038bc48c1fa592",
+        "1f74e6c8a4a01d72e87346716b4cfa290f24902b721f79b65dfcfbf84f6f823b",
+        "17d9e5e668cc4150eaafd7638ba007ef4e0e22d9f1f1b70d5b71b6178bc423ce",
+    ),
+    ("fixture", "1/2", 15): (
+        "9a8614d96825dba776c354b0dbf2cfc97a9be07ca8f500116f74c52ecd69253b",
+        "35fd288ef0d7c1ee4478d642ccd9a045c38d7b5faf47336c9568bb52d9824590",
+        "1dc288d02b8a54af22eaa5c7c4e850c05d618f11463e11806ab4ce33c2cbdc39",
+        "b059413375116e5f1b8a8d35e28e5d3fdc97a0dddd8944ca2273f9eac02ed4b9",
+    ),
+    ("fixture", "1/2", 27): (
+        "64f8afa401a98f2d85429690bb577abae448d2727994f3f6c4fce63c23406d67",
+        "3cc1413b26534224a790a4e102b121ca0d6b10f888fe05ea945770ee49e4d199",
+        "37bcdbd3563ab8268244d8e1cc80297afa3606ba5e194743acbc6572a4cbcf79",
+        "ef65b7a10124b50cb511a4e7982f8a8dbb4478c15b1ad6de78370978f0274271",
+    ),
+    ("good-first", "1", 15): (
+        "32a7f35ea8854b6e2365c13203011ee3c979ee81be2e2d5435d776f7e9a41f2a",
+        "845693491af402abfb492ffc48814bb9ec37a58d3c4b968e7f31aa378fa07dce",
+        "3e633c9c964cf7718d49164ba524aac5632efa0d3e984f64d3d93d6cfa80ad7a",
+        "649fdd9f7f658cae3627831f9a5f29c9cecfa0dc30b0461b5dc437d895b5751b",
+    ),
+    ("good-first", "1", 27): (
+        "67c57dd0ffd6372ebd12507f68f9879a8d6c0267f28c7c39df8a20d8d22137fd",
+        "21b5c3520b5c671ff27c0c87441ad05a8665f1f6b771cd59de289914bc1b8d49",
+        "1fff65d3c4a9f2da75d618ab5bc47d31211945ad03de0f4620adcb4d5b8fd072",
+        "fa2ac9c95176824145872c6b19d4f5639f08ae4505a11f93512dd78313985632",
+    ),
+    ("good-first", "1/2", 15): (
+        "860c0e2ff1dff248d436e0f08a0a002e8b21060a7ed6bf60fe6b0f24a3df273e",
+        "54d24e6000b9a8deb806eff4e2b96fb753733ef116411ca06535e8ff7592137d",
+        "84e388ec82f585221701a34bdb608b0c5d5192bc50b0e9ed65e0a4ac694b39d1",
+        "db9e1fb110b90467cb848ccd387d510eeccf50737503cffeb18b1c2de47fc7fd",
+    ),
+    ("good-first", "1/2", 27): (
+        "3d93124d5d96f94436aabe5086269f90967fb1b6e2b0697847552be9b7619953",
+        "2b4d0f3579c9ae493c29d371fa6807242903240bd88084d0cb8568462ddfbf2a",
+        "ed3f17421d151f576056b4bb0c7239d491c16355248a94581cc73e3694688a72",
+        "7a073d16709535cb1cc4cb4254ec56c8c8873febfee680418c71f111625bb4c8",
+    ),
+    ("bad-first", "1", 15): (
+        "7e416dab089d6b029f7725b919eb1a58415faab33d13f67785c6d2b5ac610853",
+        "50774c0049365ceec60f510642243c2d6693def0516b6d8666edf2857e89886a",
+        "c7c4f2517c376e368cd9ae07851f044d363bd11e7c75747db7136c3ee2c669ef",
+        "8adfcc97e72ca2fac8c057d7af33e0c163e40f42f22840831bb13834633ee531",
+    ),
+    ("bad-first", "1", 27): (
+        "d6fe86bf27b75ab1c38f9f310f7b5c850e1b34136fa729c45c0c0cfc0e93a0f4",
+        "d638bc04a3f9c6aac733b211b526d2467bc0b683c3dd502fc8daee237c04bf44",
+        "e702c3408415ea536e03a8b0707f4c27d32e12bcf5d0f8154b1f7d1b48f11fee",
+        "e094269217cc0b841839617028f9d2ceab8d2972fabf80d34879a4c73ec788f9",
+    ),
+    ("bad-first", "1/2", 15): (
+        "3832b2d019ebd3a7ae816dfa7389543ef20fe79aa132e530a7a2649205362306",
+        "81cc5be98caa6ab6ae140c5b4a5162261582f839d8782a531fa19056313c833f",
+        "21d4fc6d61096222554a8b29e134c8769a7156b2affb3ac6ae7c83e7849fa919",
+        "c8c861405416e05229d000595e0490c197a4b6a99e17d9343d4badb1ae9cea55",
+    ),
+    ("bad-first", "1/2", 27): (
+        "c1d0bddd02a04c5aa0f73b803c8e9a026a8cf8ae837986402ae01dd0719215f7",
+        "8b5c6479b91e7d660014c89d2bd9e36155344a30317ad265f880dca70a930432",
+        "7f420ddd6c14d4119795e63227475c7f652f8d4d023a6f108e5575143b61f580",
+        "6d45760b2b170c7729ea74f426c535537d2e253acfeb06549d4cdc51398b16c8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, kappa, resolution", list(PINNED_BINARY_SHA256))
+def test_compare_binary_csv_bytes_are_pinned(tmp_path, name, kappa, resolution):
+    """compare's binary CSVs keep their bytes, so a refactor of the binary
+    sweeps can be checked byte for byte.
+
+    The digests were taken with numpy's default SIMD dispatch on an x86-64
+    CPU; the binary kernels call numpy's vectorized log2, whose last bit can
+    depend on the dispatch path a CPU takes (ROADMAP item 5), so on another
+    path these pins can fail while the curves agree to rounding.
+    """
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(PINNED_BINARY_PROBLEMS[name]))
+    out = tmp_path / "o"
+    assert main(["compare", "--problem", str(path), "--schemes", "converse,cds,lds,separate",
+                 "--resolution", str(resolution), "--kappa-override", kappa,
+                 "--out", str(out)]) == 0
+    got = tuple(
+        hashlib.sha256((out / f"{scheme}.csv").read_bytes()).hexdigest()
+        for scheme in ("converse", "cds", "lds", "separate")
+    )
+    assert got == PINNED_BINARY_SHA256[name, kappa, resolution]
 
 
 def test_compare_kappa_mismatch_skips_scheme_but_continues(tmp_path, gaussian_file, capsys):
@@ -312,6 +434,18 @@ def test_point_binary_lds(binary_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["D1"] == pytest.approx(0.5 * 0.05 + 0.5 * 0.2)
     assert payload["D2"] == pytest.approx(0.5 * 0.05 + 0.5 * 0.1)
+
+
+@pytest.mark.parametrize("t", ["bogus", "UC", ""])
+def test_point_binary_lds_rejects_an_unknown_t(binary_file, capsys, t):
+    code = main(["point", "--problem", binary_file, "--scheme", "lds",
+                 "--param", "q_c=0.5", "--param", "q_r=0.5",
+                 "--param", "alpha_c=0.05", "--param", "alpha_r=0.05",
+                 "--param", "gamma_r=0.0", "--param", f"t={t}"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: binary lds point requires t=uc or t=xor, got t={t!r}\n"
 
 
 def test_validate_unknown_suite():

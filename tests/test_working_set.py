@@ -8,8 +8,11 @@ import contextlib
 import io
 import tracemalloc
 
+import pytest
+
+from wzbc.binary import binary_lds_region, binary_separate_region
 from wzbc.cli import main
-from wzbc.core import GaussianProblem
+from wzbc.core import BinaryProblem, GaussianProblem
 from wzbc.mcsim import SimConfig, simulate_uncoded_gaussian
 
 MB = 2**20
@@ -49,3 +52,12 @@ def test_uncoded_gaussian_two_workers_hold_two_batch_buffers_each():
     problem = GaussianProblem(1.0, (1.0, 0.5), (0.8, 0.4), 1)
     cfg = SimConfig(10**6, 42)
     assert traced_peak(lambda: simulate_uncoded_gaussian(problem, cfg, threads=2)) <= 10 * MB
+
+
+@pytest.mark.parametrize("region", [binary_lds_region, binary_separate_region])
+def test_binary_sweep_holds_bounded_blocks(region):
+    # the README fixture at resolution 81: the blocked passes hold at most
+    # BLOCK_CELLS pairs at a time, while one unblocked array over the
+    # resolution^3 (cell, alpha) pairs would take 4 MiB
+    problem = BinaryProblem((0.05, 0.1), (0.2, 0.1), 1)
+    assert traced_peak(lambda: region(problem, 81)) <= 2 * MB

@@ -1,9 +1,10 @@
 """Distortion tradeoff regions for lossy broadcast with receiver side information.
 
 Library surface: problem types and schemes for the quadratic Gaussian and
-binary Hamming cases, a generic finite-alphabet rate-region engine, envelope
-utilities, and Monte Carlo validators.  The ``wzbc`` command-line
-tool wraps the library for curve generation and validation runs.
+binary Hamming cases, a finite-alphabet engine for the layered and plain
+superposition rate triples, envelope utilities, and Monte Carlo simulators of
+uncoded transmission.  The ``wzbc`` command-line tool wraps the library for
+curve generation and validation runs.
 """
 
 from .core import (
@@ -38,7 +39,6 @@ from .gaussian import (
     gaussian_lds_distortions,
     gaussian_scheme3_closed_form,
     gaussian_separate_closed_form,
-    gaussian_separate_feasible,
     gaussian_trivial_converse,
     gaussian_uncoded,
     gaussian_wz_distortion,
@@ -58,17 +58,13 @@ from .binary import (
 from .dmc import (
     MarkovChainViolation,
     SchemeInputs,
-    cds_dpc_rate_bound,
     lds_rate_triple,
     scheme1_rate_triple,
-    scheme2_rate_triple,
-    scheme3_rate_triple,
 )
 from .optimize import lower_convex_envelope
 from .mcsim import (
     MCEstimate,
     SimConfig,
-    simulate_gaussian_wz_estimator,
     simulate_uncoded_binary,
     simulate_uncoded_gaussian,
 )

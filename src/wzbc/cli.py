@@ -6,8 +6,9 @@ Subcommands:
   point     -- evaluate a single scheme at explicit parameters, print JSON
 
 Exit codes: 0 success, 1 validation failure, 2 usage error (including a
-WZBC_THREADS value that is not a positive integer and a compare --resolution
-below 3).
+WZBC_THREADS value that is not a positive integer, a compare --resolution
+below 3, and a point parameter that the scheme does not read or that is given
+twice).
 Each validate suite has one named tolerance, ``max-dev`` (``n-stderr`` for
 mc-uncoded), which ``--tolerance NAME=VALUE`` overrides; any other name, or a
 value that is not a finite number >= 0, is a usage error.
@@ -384,30 +385,41 @@ def cmd_validate(args) -> int:
     return 0 if run(tol, args.seed) else 1
 
 
-def _parse_params(items):
+def _parse_params(items, scheme, names):
+    """NAME=VALUE items as a dict; each name at most once and one of ``names``."""
     params = {}
     for item in items or []:
-        if "=" not in item:
+        key, sep, val = item.partition("=")
+        if not sep:
             raise UsageError(f"parameter must be NAME=VALUE, got {item!r}")
-        key, _, val = item.partition("=")
-        if key == "t":
-            params[key] = val
-        else:
-            params[key] = float(val)
+        if key not in names:
+            takes = ", ".join(names) if names else "no parameters"
+            raise UsageError(f"{scheme} point has no parameter {key!r}; it takes {takes}")
+        if key in params:
+            raise UsageError(f"parameter {key!r} given twice")
+        params[key] = val if key == "t" else float(val)
     return params
 
 
 def cmd_point(args) -> int:
     problem = load_problem(args.problem)
-    params = _parse_params(args.param)
     scheme = args.scheme
-    flags = []
+    # scheme -> the parameter names it reads
     if isinstance(problem, GaussianProblem):
+        kind, schemes = "gaussian", {"uncoded": (), "cds": (), "lds": ("nu", "gamma")}
+    else:
+        lds = ("q_c", "q_r", "alpha_c", "alpha_r", "gamma_r", "t", "gamma_c")
+        kind, schemes = "binary", {"uncoded": (), "lds": lds}
+    if scheme not in schemes:
+        raise UsageError(f"unknown {kind} point scheme {scheme!r}")
+    params = _parse_params(args.param, f"{kind} {scheme}", schemes[scheme])
+    flags = []
+    if kind == "gaussian":
         if scheme == "uncoded":
             point = gs.gaussian_uncoded(problem)
         elif scheme == "cds":
             point = gs.gaussian_cds(problem)
-        elif scheme == "lds":
+        else:
             if "nu" not in params:
                 raise UsageError("lds point requires nu=<value> (and optional gamma=<value>)")
             assign = gs.choose_refinement_receiver(problem)
@@ -416,18 +428,19 @@ def cmd_point(args) -> int:
             if rates.clamped:
                 flags.append("rate-clamped")
             point = gs.gaussian_lds_distortions(problem, assign, rates)
-        else:
-            raise UsageError(f"unknown gaussian point scheme {scheme!r}")
     else:
         if scheme == "uncoded":
             point = bn.binary_uncoded(problem)
-        elif scheme == "lds":
+        else:
             needed = ("q_c", "q_r", "alpha_c", "alpha_r", "gamma_r")
             if not all(k in params for k in needed):
                 raise UsageError(f"binary lds point requires {', '.join(needed)} (and t=uc|xor)")
             t = params.get("t", "uc")
             if t not in ("uc", "xor"):
                 raise UsageError(f"binary lds point requires t=uc or t=xor, got t={t!r}")
+            if "gamma_c" in params and t != "xor":
+                # the T = U_c rates fix the common-layer input at gamma_c = 1/2
+                raise UsageError("binary lds point takes gamma_c only with t=xor")
             t_choice = bn.TChoice(t)
             src = bn.BinarySourceParams(
                 params["q_c"], params["q_r"], params["alpha_c"], params["alpha_r"]
@@ -449,8 +462,6 @@ def cmd_point(args) -> int:
             d1 = bn.layer_distortion(src.q_c, src.alpha_c, beta_c)
             d2 = bn.layer_distortion(src.q_r, src.alpha_r, beta_r)
             point = bn.DistortionPoint(D=(d1, d2), scheme="lds", params=params)
-        else:
-            raise UsageError(f"unknown binary point scheme {scheme!r}")
     print(
         json.dumps(
             {

@@ -1,4 +1,6 @@
-"""Generic finite-alphabet rate-region evaluators for the layered schemes.
+"""Generic finite-alphabet rate evaluators: the layered scheme's rate triple
+(``lds_rate_triple``) and plain superposition's (``scheme1_rate_triple``),
+against which the ``dmc-consistency`` suite checks the binary closed forms.
 
 Inputs are an explicit joint distribution over the named auxiliary and input
 variables (T, U_c, U_r, U, and optionally the encoder state S) together with
@@ -103,34 +105,13 @@ def _require_markov(joint, a, b, given, label):
         )
 
 
-def _require_layered_markov(ext: JointDistribution) -> None:
-    _require_markov(ext, ("T",), ("V_c", "V_r"), ("U_c", "U_r"), "T-(U_r,U_c)-(V_r,V_c)")
-    _require_markov(ext, ("U_c", "U_r"), ("V_c", "V_r"), ("U",), "(U_r,U_c)-U-(V_r,V_c)")
-
-
-def cds_dpc_rate_bound(inputs: SchemeInputs, receiver: str) -> float:
-    """Single-description rate with encoder state precoding:
-    kappa * [I(T; V_k) - I(T; S)] for receiver k in {"c", "r"}.
-
-    May be negative; not clamped.  With S independent of T this is the plain
-    single-description rate kappa * I(T; V_k).
-    """
-    if receiver not in ("c", "r"):
-        raise ValueError(f'receiver must be "c" or "r", got {receiver!r}')
-    for name in ("T", "S", "U"):
-        inputs.joint.axis(name)
-    ext = extend_with_outputs(inputs)
-    v = "V_c" if receiver == "c" else "V_r"
-    kappa = float(inputs.kappa)
-    return kappa * (mutual_information(ext, ("T",), (v,)) - mutual_information(ext, ("T",), ("S",)))
-
-
 def lds_rate_triple(inputs: SchemeInputs) -> RateTriple:
     """Layered-scheme rate triple
     (kappa [I(T;V_c) - I(T;U_r)], kappa [I(T;V_r) - I(T;U_r)], kappa I(U_r; T,V_r)).
     """
     ext = extend_with_outputs(inputs)
-    _require_layered_markov(ext)
+    _require_markov(ext, ("T",), ("V_c", "V_r"), ("U_c", "U_r"), "T-(U_r,U_c)-(V_r,V_c)")
+    _require_markov(ext, ("U_c", "U_r"), ("V_c", "V_r"), ("U",), "(U_r,U_c)-U-(V_r,V_c)")
     kappa = float(inputs.kappa)
     i_t_ur = mutual_information(ext, ("T",), ("U_r",))
     return RateTriple(
@@ -150,40 +131,6 @@ def scheme1_rate_triple(inputs: SchemeInputs) -> RateTriple:
         kappa * mutual_information(ext, ("U_c",), ("V_c",)),
         kappa * mutual_information(ext, ("U_c",), ("V_r",)),
         kappa * mutual_information(ext, ("U",), ("V_r",), ("U_c",)),
-    )
-
-
-def scheme2_rate_triple(inputs: SchemeInputs) -> RateTriple:
-    """Refinement-precoded-first rate triple
-    (kappa I(U_c;V_c), kappa I(U_c;T,V_r), kappa [I(T;V_r) - I(T;U_c)])."""
-    ext = extend_with_outputs(inputs)
-    _require_layered_markov(ext)
-    kappa = float(inputs.kappa)
-    return RateTriple(
-        kappa * mutual_information(ext, ("U_c",), ("V_c",)),
-        kappa * mutual_information(ext, ("U_c",), ("T", "V_r")),
-        kappa
-        * (
-            mutual_information(ext, ("T",), ("V_r",))
-            - mutual_information(ext, ("T",), ("U_c",))
-        ),
-    )
-
-
-def scheme3_rate_triple(inputs: SchemeInputs) -> RateTriple:
-    """Reversed-decoding rate triple
-    (kappa [I(T;V_c) - I(T;U_r)], kappa I(T;V_r|U_r), kappa I(U_r;V_r))."""
-    ext = extend_with_outputs(inputs)
-    _require_layered_markov(ext)
-    kappa = float(inputs.kappa)
-    return RateTriple(
-        kappa
-        * (
-            mutual_information(ext, ("T",), ("V_c",))
-            - mutual_information(ext, ("T",), ("U_r",))
-        ),
-        kappa * mutual_information(ext, ("T",), ("V_r",), ("U_r",)),
-        kappa * mutual_information(ext, ("U_r",), ("V_r",)),
     )
 
 

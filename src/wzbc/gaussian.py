@@ -384,35 +384,6 @@ def gaussian_separate_closed_form(problem: GaussianProblem, D_b):
     return _scalar_or_array(N_g / denom_ch * np.maximum(W_g * D_b, alt))
 
 
-def gaussian_separate_feasible(
-    problem: GaussianProblem, nu: float, D_b: float, D_g: float
-) -> bool:
-    """Feasibility of (D_b, D_g) under separate coding with power split nu.
-
-    The bad-channel condition N_b/D_b <= (1 + nu P / (nubar P + W_b))^kappa
-    must hold together with the good-channel condition appropriate to the
-    side information order (general kappa).
-    """
-    require_two_receivers(problem)
-    if not 0.0 <= nu <= 1.0:
-        raise ValueError(f"nu must lie in [0, 1], got {nu}")
-    b, g = separate_coding_labels(problem)
-    P = problem.power
-    kappa = float(problem.kappa)
-    W_b, W_g = problem.noise_vars[b], problem.noise_vars[g]
-    N_b, N_g = problem.sideinfo_vars[b], problem.sideinfo_vars[g]
-    nubar = 1.0 - nu
-    bad_rhs = (1.0 + nu * P / (nubar * P + W_b)) ** kappa
-    if N_b / D_b > bad_rhs * (1.0 + RANGE_GUARD):
-        return False
-    good_rhs = bad_rhs * (1.0 + nubar * P / W_g) ** kappa
-    if N_g <= N_b:
-        lhs = N_b * N_b * N_g / (D_g * (N_g * N_b + D_b * (N_b - N_g)))
-    else:
-        lhs = N_g / min(D_g, D_b + D_b * D_g * (N_g - N_b) / (N_b * N_g))
-    return lhs <= good_rhs * (1.0 + RANGE_GUARD)
-
-
 def gaussian_scheme3_rates(
     problem: GaussianProblem, assign: RoleAssignment, nu: float
 ) -> RateTriple:
@@ -425,10 +396,10 @@ def gaussian_scheme3_rates(
     require_two_receivers(problem)
     if not 0.0 <= nu <= 1.0:
         raise ValueError(f"nu must lie in [0, 1], got {nu}")
-    return RateTriple(*_scheme3_rate_triple(problem, assign, nu))
+    return RateTriple(*_scheme3_rate_tuple(problem, assign, nu))
 
 
-def _scheme3_rate_triple(problem, assign, nu) -> tuple:
+def _scheme3_rate_tuple(problem, assign, nu) -> tuple:
     """(R_cc, R_cr, R_rr) of the reversed-decoding variant, in scalar (libm) arithmetic."""
     P = problem.power
     W_c, W_r = problem.noise_vars[assign.c], problem.noise_vars[assign.r]
@@ -449,7 +420,7 @@ def gaussian_scheme3_curve(problem: GaussianProblem, assign: RoleAssignment, cou
     """
     require_two_receivers(problem)
     pairs = [
-        _lds_distortion_pair(problem, assign, *_scheme3_rate_triple(problem, assign, nu))
+        _lds_distortion_pair(problem, assign, *_scheme3_rate_tuple(problem, assign, nu))
         for nu in np.linspace(0.0, 1.0, count).tolist()
     ]
     d_c, d_r = np.array(pairs).reshape(-1, 2).T

@@ -1,4 +1,4 @@
-"""Monte Carlo validation of the physically simulable strategies.
+"""Monte Carlo validation of uncoded transmission, Gaussian and binary.
 
 Random numbers come from numpy's PCG64 generator.  Samples are drawn in
 fixed-size batches; the stream for (receiver k, batch j) is seeded with
@@ -14,7 +14,8 @@ of the elementwise expressions it implements.  The uncoded Gaussian batch
 holds the source and one channel output batch-long and draws each noise
 vector piece by piece, in stream order, into two scratch pieces: a PCG64
 ``standard_normal`` of doubles keeps no state between calls, so the pieces
-are the draws of one batch-long call.
+are the draws of one batch-long call.  The uncoded binary batch draws only
+the flips of the observation that its decoder uses.
 """
 
 from __future__ import annotations
@@ -179,51 +180,13 @@ def simulate_uncoded_binary(
 
         def batch(rng, work, p=p, beta=beta):
             # x ^ e differs from x exactly where e is set, so the decoder errs
-            # where the flip of its chosen observation is set
+            # where the flip of its chosen observation is set; neither x nor
+            # the flips of the other observation are drawn
             (u,) = work
-            rng.integers(0, 2, size=u.size, dtype=np.int8)  # x
-            rng.random(out=u)  # flips of v
-            if p > beta:
-                rng.random(out=u)  # flips of y
+            rng.random(out=u)  # flips of v when p <= beta, of y otherwise
             errors = float(np.count_nonzero(np.less(u, min(p, beta), out=u)))
             return errors, errors  # exact: counts stay below 2**53; err^2 == err
 
         batch_fns.append(batch)
     return _reduce_batches(cfg, batch_fns, (BATCH_SPAN,), threads)
 
-
-def simulate_gaussian_wz_estimator(
-    N: float, S_var: float, cfg: SimConfig, threads: int = 1
-) -> MCEstimate:
-    """Empirical MSE of the linear combiner on the backward test channel.
-
-    Draws X = Z + S with independent Gaussian Z and S (variance of S is
-    S_var, source variance 1) and side information Y = rho X + noise of
-    variance N, then applies the combiner
-    (N Z + rho S_var Y) / (1 - (1 - N)(1 - S_var)).
-    The closed-form target is N / (1 - N + N / S_var).
-    """
-    if not 0.0 < N <= 1.0:
-        raise ValueError(f"N must lie in (0, 1], got {N}")
-    if not 0.0 < S_var <= 1.0:
-        raise ValueError(f"S_var must lie in (0, 1], got {S_var}")
-    rho = math.sqrt(1.0 - N)
-    zv = 1.0 - S_var
-    denom = 1.0 - rho * rho * zv
-
-    def batch(rng, work):
-        # z = sqrt(1 - S_var) Z, s = sqrt(S_var) S, x = z + s,
-        # y = rho x + sqrt(N) Z_y, se = (x - (N z + rho S_var y) / denom) ** 2
-        z, s, x, y = work
-        np.multiply(math.sqrt(zv), rng.standard_normal(out=z), out=z)
-        np.multiply(math.sqrt(S_var), rng.standard_normal(out=s), out=s)
-        np.add(z, s, out=x)
-        np.multiply(rho, x, out=y)
-        y += np.multiply(math.sqrt(N), rng.standard_normal(out=s), out=s)
-        z *= N
-        y *= rho * S_var
-        z += y
-        z /= denom
-        return _square_sums(np.subtract(x, z, out=x))
-
-    return _reduce_batches(cfg, [batch], (BATCH_SPAN,) * 4, threads)

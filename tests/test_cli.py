@@ -262,6 +262,102 @@ def test_compare_binary_csv_bytes_are_pinned(tmp_path, name, kappa, resolution):
     assert got == PINNED_BINARY_SHA256[name, kappa, resolution]
 
 
+# Gaussian problems of the pinned compare bytes, all at kappa = 1: the README
+# fixture (separate coding's good receiver has the better side information),
+# one with W_c <= W_r, and one whose good receiver has the worse side
+# information, so that separate coding takes the max of its two constraints
+PINNED_GAUSSIAN_PROBLEMS = {
+    "fixture": GAUSSIAN,
+    "wc-below-wr": {"kind": "gaussian", "P": 1.5, "W": [0.6, 1.2], "N": [0.95, 0.35],
+                    "kappa": "1"},
+    "ng-above-nb": {"kind": "gaussian", "P": 1.0, "W": [2.0, 0.5], "N": [0.3, 0.9],
+                    "kappa": "1"},
+}
+PINNED_GAUSSIAN_SCHEMES = ("converse", "uncoded", "cds", "lds", "separate", "scheme3")
+# sha256 of each scheme's CSV, keyed by (problem, resolution, --extend-flat)
+PINNED_GAUSSIAN_SHA256 = {
+    ("fixture", 41, False): (
+        "27c4cbdaf81b5ec298f08e5a3ec60324bd4a0a8892c19384bd44d7dace14e047",
+        "71ced45fe4adb709e8b33142b6686a3a518c06ca8bd846cf3d41ca3af8fe1ac9",
+        "af9b851f59fcbe79c9bb66f20cac4153c2beb606bbc12e103182d8fd48b9373d",
+        "dfeaf233e7e169cc1802ad1160e730fd1bab573d734edda04e42619bc3457600",
+        "7c1931b549cd33d422f27dd43ebe797727e4a10f76d20c1d84fa019e48292b89",
+        "6c157af51edcfa0503386ce64156f18a191a5c3ec681c4811e27499c92c1951c",
+    ),
+    ("wc-below-wr", 41, False): (
+        "9e1f5aec546f622ef6999fee6968afc28007c0f37195edc7ef6dd95eb4538a4d",
+        "9ece07cc345efdb805a49f6f9cba4f99f211aebb2cb74fb17da923b524527cb2",
+        "35f6aad737e1aff0ca05210142ec27f4aee8a528911acb0c81fefdfed7500bbd",
+        "6673865a38d84e48598832246ad8d8a87dd1817daa4f090cbd3cb79d36e0ab8e",
+        "791a9bd6a9afe0a05a364af479662c4ca73d6400f2d8b71f04b727175f832d4c",
+        "b5051aa2f7f2feeb14046ec3d5f2beb645d5e25e26fcb528794c0c9b79f7f05e",
+    ),
+    ("ng-above-nb", 41, False): (
+        "49a03789b7695769968bf3a9629ad271bd964298cd01d2d5291bf22a3509a752",
+        "4f4d79cfc4ebfc8579da4e6fce46ecc4728cb1c29ac0c586dba32de6f85d4607",
+        "38f2da422fb66340b020cba84c23b5d615c70ba4f843ac95c2f83e6b006df9fd",
+        "394db3d9f147a084467cacb9b7a06f6450c8f87fd4df9196a406c50b169f9f96",
+        "b90531fa92b06bdd2d2b6ac93978b6e8fe54846a059703cc0dbc9f5c472b4741",
+        "42f88841fa3a1c55e7c3d758b5d3b03610df7ea489f62985a773f8e0b8c487e5",
+    ),
+    ("fixture", 401, False): (
+        "6f8eaffb5fc8442d97f6d6f7de2a352cd86ed97015d92b24acafc4ef25122a4a",
+        "7f74017c7132eff3f92440d45dffaa89d3cf52fbeeedcc8fff3f8174364044e8",
+        "4cdb52c62e338ddd77d1228fec81cbb2a07f1474dbb5b8a3743ae77ce647da90",
+        "70b567263e04909b05c31770140a3d1c467eb09c6ce57c4fc373fe231346c674",
+        "89a39454d45233a3f9c577569645bd87836659767125db5b711903940a78b7f1",
+        "57889a405e0dbb9f3f6a52249759d5bc38f727c7692112c4c078b2582d805c09",
+    ),
+    ("wc-below-wr", 401, False): (
+        "f9e276ad78cbfe9c6d0f35ea96119dadf83d73cdfc22b69cacad3573e3db511b",
+        "46e986f839ae17512f0801e0f35c7bb9af15771782c384203f57533466711d75",
+        "4f484634dd02f654fcd34e0bc30b74a81f36af06788fc4dbd0936fdec04f5861",
+        "974ed34f7a3465ca7c5d4eff657f305f016cdf55d26c5097ccb54d12b89089f0",
+        "9dffd39aa301e6fc9677c6f931bb7c7a38e0ffbd5d4832257f61eaf0ed879dea",
+        "3bbad0626325277f25082f4e422600a46bcbe99ad66ccb93aad640b0f18d4580",
+    ),
+    ("ng-above-nb", 401, False): (
+        "7a50b09915241037f5b29ecebb34366ea1b002a3b99a5838ad3e1e2edb2a3a0e",
+        "cd650eb02fe740949f099cec0810535d13efe357c725809fc7a8ad162263c7a7",
+        "616274cb0dfe3a3bd60be22abf1e7cb0136625fbfc65a4b2d3b25fd3bb006f47",
+        "61958a1db75d400fae755395a9d801b8e11cd3b782425be736ab0927a927e356",
+        "e983535ff6b1a54efbdb194aa37269d3008348d4471ad2d84269d57639d61ca6",
+        "a5a403c235f1da171246dc8d01f6e4187538e794c35cec25b53cc88782614992",
+    ),
+    ("wc-below-wr", 41, True): (
+        "9e1f5aec546f622ef6999fee6968afc28007c0f37195edc7ef6dd95eb4538a4d",
+        "9ece07cc345efdb805a49f6f9cba4f99f211aebb2cb74fb17da923b524527cb2",
+        "35f6aad737e1aff0ca05210142ec27f4aee8a528911acb0c81fefdfed7500bbd",
+        "16bcda5c1b1985e63692af05af374c17c87f870caff0f039d18ef2c5817d9794",
+        "791a9bd6a9afe0a05a364af479662c4ca73d6400f2d8b71f04b727175f832d4c",
+        "b5051aa2f7f2feeb14046ec3d5f2beb645d5e25e26fcb528794c0c9b79f7f05e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, resolution, extend_flat", list(PINNED_GAUSSIAN_SHA256))
+def test_compare_gaussian_csv_bytes_are_pinned(tmp_path, name, resolution, extend_flat):
+    """compare's kappa = 1 Gaussian CSVs keep their bytes, so a refactor of
+    gaussian.py can be checked byte for byte.
+
+    The digests were the same with numpy's dispatch cut to its baseline
+    (NPY_DISABLE_CPU_FEATURES) and with glibc's FMA code paths off.  Curves
+    at other kappa call numpy's vectorized transcendentals, whose last bit
+    can depend on the dispatch path (ROADMAP item 5), so they are not pinned.
+    """
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(PINNED_GAUSSIAN_PROBLEMS[name]))
+    out = tmp_path / "o"
+    argv = ["compare", "--problem", str(path), "--schemes", ",".join(PINNED_GAUSSIAN_SCHEMES),
+            "--resolution", str(resolution), "--out", str(out)]
+    assert main(argv + ["--extend-flat"] * extend_flat) == 0
+    got = tuple(
+        hashlib.sha256((out / f"{scheme}.csv").read_bytes()).hexdigest()
+        for scheme in PINNED_GAUSSIAN_SCHEMES
+    )
+    assert got == PINNED_GAUSSIAN_SHA256[name, resolution, extend_flat]
+
+
 def test_compare_kappa_mismatch_skips_scheme_but_continues(tmp_path, gaussian_file, capsys):
     out = tmp_path / "out"
     code = main(["compare", "--problem", gaussian_file, "--kappa-override", "2",
@@ -448,6 +544,59 @@ def test_point_binary_lds_rejects_an_unknown_t(binary_file, capsys, t):
     assert captured.err == f"error: binary lds point requires t=uc or t=xor, got t={t!r}\n"
 
 
+BINARY_LDS_PARAMS = ["q_c=0.2", "q_r=0.2", "alpha_c=0.1", "alpha_r=0.1", "gamma_r=0"]
+
+
+def run_point(path, scheme, params):
+    argv = ["point", "--problem", path, "--scheme", scheme]
+    for item in params:
+        argv += ["--param", item]
+    return main(argv)
+
+
+@pytest.mark.parametrize(
+    "kind, scheme, params, message",
+    [
+        ("gaussian", "lds", ["nu=0.5", "gama=0.3"],
+         "gaussian lds point has no parameter 'gama'; it takes nu, gamma"),
+        ("gaussian", "lds", ["nu=0.5", "t=uc"],
+         "gaussian lds point has no parameter 't'; it takes nu, gamma"),
+        ("gaussian", "cds", ["nu=0.5"],
+         "gaussian cds point has no parameter 'nu'; it takes no parameters"),
+        ("gaussian", "uncoded", ["gamma=0"],
+         "gaussian uncoded point has no parameter 'gamma'; it takes no parameters"),
+        ("binary", "uncoded", ["q_c=0.2"],
+         "binary uncoded point has no parameter 'q_c'; it takes no parameters"),
+        ("binary", "lds", BINARY_LDS_PARAMS + ["nu=0.5"],
+         "binary lds point has no parameter 'nu'; it takes q_c, q_r, alpha_c, alpha_r, "
+         "gamma_r, t, gamma_c"),
+        ("gaussian", "lds", ["nu=0.5", "nu=0.6"], "parameter 'nu' given twice"),
+        ("binary", "lds", BINARY_LDS_PARAMS + ["t=xor", "t=xor"], "parameter 't' given twice"),
+    ],
+)
+def test_point_rejects_a_name_its_scheme_does_not_read_or_a_repeat(
+    gaussian_file, binary_file, capsys, kind, scheme, params, message
+):
+    path = gaussian_file if kind == "gaussian" else binary_file
+    assert run_point(path, scheme, params) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("t", [["t=uc"], []], ids=["t=uc", "t-default"])
+def test_point_binary_lds_takes_gamma_c_only_with_xor(binary_file, capsys, t):
+    # the T = U_c rates fix gamma_c at 1/2, so a gamma_c there would be echoed unread
+    assert run_point(binary_file, "lds", BINARY_LDS_PARAMS + t + ["gamma_c=0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: binary lds point takes gamma_c only with t=xor\n"
+    assert run_point(binary_file, "lds", BINARY_LDS_PARAMS + ["t=xor", "gamma_c=0.1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["D1"], payload["D2"]) == pytest.approx((0.18, 0.1), abs=1e-15)
+    assert payload["params"]["gamma_c"] == 0.1
+
+
 def test_validate_unknown_suite():
     assert main(["validate", "--suite", "nonsense"]) == 2
 
@@ -552,8 +701,8 @@ def test_malformed_thread_count_is_usage_error(monkeypatch, capsys, value):
     assert "WZBC_THREADS" in capsys.readouterr().err
 
 
-# printed lines of the scalar-loop engine and of the float-array error count,
-# which the batched engine and np.count_nonzero must reproduce
+# printed lines of the scalar-loop engine, which the batched engine must
+# reproduce, and of the flips-only binary Monte Carlo batch
 DMC_LINES = {
     1: "[PASS] dmc-consistency: max deviation 1.110e-15 (tol 1e-09)",
     13: "[PASS] dmc-consistency: max deviation 8.882e-16 (tol 1e-09)",
@@ -561,9 +710,9 @@ DMC_LINES = {
 }
 MC_LINES = {
     13: "[PASS] mc-uncoded: gaussian (0.44405, 0.22201) vs (0.44444, 0.22222), "
-        "binary (0.04981, 0.10021) (threshold 4 stderr)",
+        "binary (0.04989, 0.10023) (threshold 4 stderr)",
     42: "[PASS] mc-uncoded: gaussian (0.44559, 0.22176) vs (0.44444, 0.22222), "
-        "binary (0.04973, 0.09977) (threshold 4 stderr)",
+        "binary (0.04982, 0.0997) (threshold 4 stderr)",
 }
 
 BINARY_ORACLE_LINES = {

@@ -6,12 +6,9 @@ from wzbc.dmc import (
     SchemeInputs,
     binary_superposition_inputs,
     bsc_matrix,
-    cds_dpc_rate_bound,
     extend_with_outputs,
     lds_rate_triple,
     scheme1_rate_triple,
-    scheme2_rate_triple,
-    scheme3_rate_triple,
 )
 from wzbc.infotheory import (
     JointDistribution,
@@ -88,47 +85,6 @@ def test_lds_matches_binary_closed_forms():
     assert triple2.R_rr == pytest.approx(shared, abs=1e-9)
 
 
-def test_cds_dpc_rate_bound():
-    # state independent of everything: plain single-description rate
-    pmf = np.zeros((2, 2, 2, 2, 2))  # (T, U_c, U_r, U, S) with S ~ Ber(1/2) independent
-    for uc in (0, 1):
-        for ur in (0, 1):
-            for s in (0, 1):
-                u = uc ^ ur
-                pmf[u, uc, ur, u, s] += 0.25 * 0.5
-    joint = JointDistribution(("T", "U_c", "U_r", "U", "S"), pmf)
-    inputs = SchemeInputs(joint, bsc_matrix(0.1), bsc_matrix(0.2))
-    ext = extend_with_outputs(inputs)
-    assert cds_dpc_rate_bound(inputs, "c") == pytest.approx(
-        mutual_information(ext, "T", "V_c"), abs=1e-12
-    )
-    # self-interference sanity: T = S gives a nonpositive bound
-    pmf2 = np.zeros((2, 2, 2, 2, 2))
-    for uc in (0, 1):
-        for ur in (0, 1):
-            u = uc ^ ur
-            pmf2[ur, uc, ur, u, ur] += 0.25  # T = S = U_r
-    inputs2 = SchemeInputs(
-        JointDistribution(("T", "U_c", "U_r", "U", "S"), pmf2),
-        bsc_matrix(0.1),
-        bsc_matrix(0.2),
-    )
-    assert cds_dpc_rate_bound(inputs2, "r") <= 1e-12
-    # binary precoded instance matches the xor closed forms
-    p_c, p_r, g_c, g_r = 0.06, 0.17, 0.28, 0.33
-    inputs3 = binary_superposition_inputs(p_c, p_r, g_c, g_r, "xor")
-    shared = wz_rate_kernel(g_c, g_r)
-    conv = binary_convolution(g_c, g_r)
-    assert cds_dpc_rate_bound(inputs3, "c") == pytest.approx(
-        wz_rate_kernel(p_c, conv) - shared, abs=1e-9
-    )
-    assert cds_dpc_rate_bound(inputs3, "r") == pytest.approx(
-        wz_rate_kernel(p_r, conv) - shared, abs=1e-9
-    )
-    with pytest.raises(ValueError):
-        cds_dpc_rate_bound(inputs3, "x")
-
-
 def test_scheme1_trivial_cases():
     # U_c = U: single layer
     pmf = np.zeros((2, 2, 2, 2, 2))
@@ -171,51 +127,6 @@ def test_scheme1_equals_lds_with_uc_auxiliary():
             assert a == pytest.approx(b, abs=1e-12)
 
 
-def test_scheme2_trivial_and_degenerate_cases():
-    # T = U_c: the precoded layer carries nothing extra, R_rr <= 0
-    inputs = uniform_inputs("uc")
-    triple = scheme2_rate_triple(inputs)
-    assert triple.R_rr <= 1e-12
-    ext = extend_with_outputs(inputs)
-    assert triple.R_cc == pytest.approx(mutual_information(ext, "U_c", "V_c"), abs=1e-12)
-    # trivial T (constant): (I(U_c;V_c), I(U_c;V_r), 0)
-    pmf = np.zeros((1, 2, 2, 2, 2))
-    for uc in (0, 1):
-        for ur in (0, 1):
-            pmf[0, uc, ur, uc ^ ur, ur] += 0.25
-    inputs2 = SchemeInputs(
-        JointDistribution(("T", "U_c", "U_r", "U", "S"), pmf),
-        bsc_matrix(0.1),
-        bsc_matrix(0.2),
-    )
-    triple2 = scheme2_rate_triple(inputs2)
-    ext2 = extend_with_outputs(inputs2)
-    assert triple2.R_cr == pytest.approx(mutual_information(ext2, "U_c", "V_r"), abs=1e-12)
-    assert triple2.R_rr == pytest.approx(0.0, abs=1e-12)
-
-
-def test_scheme3_trivial_refinement_and_identities():
-    # trivial U_r: single layer at rates (I(T;V_c), I(T;V_r), 0)
-    inputs = uniform_inputs("xor", g_r=0.0)
-    triple = scheme3_rate_triple(inputs)
-    ext = extend_with_outputs(inputs)
-    assert triple.R_cc == pytest.approx(mutual_information(ext, "T", "V_c"), abs=1e-12)
-    assert triple.R_cr == pytest.approx(mutual_information(ext, "T", "V_r"), abs=1e-12)
-    assert triple.R_rr == pytest.approx(0.0, abs=1e-12)
-    # conditional form of the middle rate: I(T;V_r|U_r) = I(T;U_r,V_r) - I(T;U_r)
-    inputs2 = uniform_inputs("xor")
-    triple2 = scheme3_rate_triple(inputs2)
-    ext2 = extend_with_outputs(inputs2)
-    alt = mutual_information(ext2, "T", ("U_r", "V_r")) - mutual_information(
-        ext2, "T", "U_r"
-    )
-    assert triple2.R_cr == pytest.approx(alt, abs=1e-11)
-    # refinement rate in the xor instance: r(gamma_c * p_r, gamma_r)
-    p_c, p_r, g_c, g_r = 0.1, 0.2, 0.3, 0.25
-    expected = wz_rate_kernel(binary_convolution(g_c, p_r), g_r)
-    assert triple2.R_rr == pytest.approx(expected, abs=1e-9)
-
-
 def test_rates_unclamped_by_design():
     # an overloaded xor instance yields a negative common-layer rate
     inputs = binary_superposition_inputs(0.45, 0.45, 0.02, 0.49, "xor")
@@ -251,17 +162,14 @@ def test_factored_pmf_always_passes_markov_checks():
         joint = JointDistribution(("T", "U_c", "U_r", "U", "S"), pmf)
         inputs = SchemeInputs(joint, bsc_matrix(0.08), bsc_matrix(0.21))
         lds_rate_triple(inputs)
-        scheme2_rate_triple(inputs)
-        scheme3_rate_triple(inputs)
 
 
-TRIPLES = (lds_rate_triple, scheme1_rate_triple, scheme2_rate_triple, scheme3_rate_triple)
+TRIPLES = (lds_rate_triple, scheme1_rate_triple)
 
 
 def engine_columns(inputs):
-    """Every rate the engine computes for one input: four triples and two bounds."""
-    cols = [x for f in TRIPLES for x in f(inputs).as_tuple()]
-    return cols + [cds_dpc_rate_bound(inputs, "c"), cds_dpc_rate_bound(inputs, "r")]
+    """Every rate the engine computes for one input: both triples."""
+    return [x for f in TRIPLES for x in f(inputs).as_tuple()]
 
 
 def batch_draws():

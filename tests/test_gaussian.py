@@ -20,7 +20,6 @@ from wzbc.gaussian import (
     gaussian_scheme3_curve,
     gaussian_scheme3_rates,
     gaussian_separate_closed_form,
-    gaussian_separate_feasible,
     gaussian_separate_sweep,
     gaussian_trivial_converse,
     gaussian_uncoded,
@@ -266,25 +265,6 @@ def test_separate_matches_lds_when_bad_receiver_has_bad_side_info():
         assert gaussian_separate_closed_form(P_A, d) == pytest.approx(
             gaussian_lds_closed_form(P_A, assign, d), abs=1e-12
         )
-
-
-def test_separate_feasibility():
-    # boundary of the closed form is feasible at the power split that makes
-    # the bad-channel condition tight, and slightly better D_g is not
-    b, _ = separate_coding_labels(P_A)
-    P, W_b, N_b = P_A.power, P_A.noise_vars[b], P_A.sideinfo_vars[b]
-    for d_b in (0.45, 0.6, 0.75):
-        nu = 1.0 - (d_b * (P + W_b) / N_b - W_b) / P
-        d_g = gaussian_separate_closed_form(P_A, d_b)
-        assert gaussian_separate_feasible(P_A, nu, d_b, d_g * (1 + 1e-9))
-        assert not gaussian_separate_feasible(P_A, nu, d_b, d_g * (1 - 1e-6))
-    # zero-rate corner is feasible for any split
-    for nu in (0.0, 0.3, 1.0):
-        assert gaussian_separate_feasible(P_A, nu, N_b, P_A.sideinfo_vars[1 - b])
-    # below the converse nothing is feasible on a nu grid
-    conv = gaussian_trivial_converse(P_A)
-    for nu in np.linspace(0, 1, 21):
-        assert not gaussian_separate_feasible(P_A, nu, conv[b] * 0.9, conv[1 - b] * 0.9)
 
 
 def test_separate_sweep_matches_closed_form_at_unit_bandwidth():

@@ -9,7 +9,6 @@ from wzbc.binary import binary_uncoded
 from wzbc.mcsim import (
     BATCH_SPAN,
     SimConfig,
-    simulate_gaussian_wz_estimator,
     simulate_uncoded_binary,
     simulate_uncoded_gaussian,
 )
@@ -56,18 +55,6 @@ def test_uncoded_binary_edge_cases():
     assert est_tie.within((0.1, 0.1), 4.0)
 
 
-def test_wz_estimator_matches_closed_form():
-    # closed form N / (1 - N + N / S_var)
-    est = simulate_gaussian_wz_estimator(0.4, 1.0 / 3.0, CFG)
-    assert est.within((0.4 / 1.8,), 4.0)
-    # side-information-only limit: S_var = 1 leaves the side information alone
-    est_full = simulate_gaussian_wz_estimator(0.37, 1.0, SimConfig(samples=400_000, seed=5))
-    assert est_full.within((0.37,), 4.0)
-    # no-side-information limit: N = 1 reduces the error to the split variance
-    est_nosi = simulate_gaussian_wz_estimator(1.0, 0.25, SimConfig(samples=400_000, seed=6))
-    assert est_nosi.within((0.25,), 4.0)
-
-
 def test_determinism_across_runs_and_threads():
     a = simulate_uncoded_gaussian(GAUSSIAN, CFG, threads=1)
     b = simulate_uncoded_gaussian(GAUSSIAN, CFG, threads=1)
@@ -98,9 +85,9 @@ def test_convergence_rate():
     # quadrupling the sample count halves the standard error, within 20%
     ratios = []
     for seed in (1, 2, 3):
-        small = simulate_gaussian_wz_estimator(0.4, 0.3, SimConfig(100_000, seed))
-        large = simulate_gaussian_wz_estimator(0.4, 0.3, SimConfig(400_000, seed))
-        ratios.append(large.stderr[0] / small.stderr[0])
+        small = simulate_uncoded_gaussian(GAUSSIAN, SimConfig(100_000, seed))
+        large = simulate_uncoded_gaussian(GAUSSIAN, SimConfig(400_000, seed))
+        ratios += [b / a for a, b in zip(small.stderr, large.stderr)]
     mean_ratio = sum(ratios) / len(ratios)
     assert abs(mean_ratio - 0.5) < 0.1
 
@@ -134,13 +121,12 @@ def test_sim_config_accepts_integers():
     assert SimConfig(np.int64(1000), np.int64(7)) == SimConfig(1000, 7)
 
 
-# estimates from the former float-array error sum; the integer count must
-# reproduce them bit for bit at every thread count
+# estimates of the flips-only binary batch, the same at every thread count
 BINARY_ESTIMATES = {
-    13: (("0x1.9806f262888b5p-5", "0x1.9a75cd0bb6ed6p-4"),
-         ("0x1.c83b3b306f25cp-13", "0x1.3addbe7506f65p-12")),
-    42: (("0x1.9767903211cb0p-5", "0x1.98a979e16d6dcp-4"),
-         ("0x1.c7e6c202a75c5p-13", "0x1.3a409bf917c15p-12")),
+    13: (("0x1.98aeb80ecfa6ap-5", "0x1.9a87a072d1aebp-4"),
+         ("0x1.c89411b63e763p-13", "0x1.3ae3d1bd11376p-12")),
+    42: (("0x1.98244e93e1c9bp-5", "0x1.9859c8c9320dap-4"),
+         ("0x1.c84ac8abcc20ap-13", "0x1.3a255b76ed6eap-12")),
 }
 
 
@@ -174,15 +160,15 @@ def test_uncoded_gaussian_estimate_is_pinned(seed, threads):
     assert tuple(s.hex() for s in est.stderr) == stderr
 
 
-# float.hex of every (mean, stderr) from the former per-receiver pools, which
-# drew every batch into fresh arrays; 10**6 + 17 samples end in a partial
-# batch and 1000 lie below BATCH_SPAN.  Receiver 1 of SIDE_BINARY (p > beta)
+# float.hex of every (mean, stderr): the Gaussian ones from the former
+# per-receiver pools, which drew every batch into fresh arrays, the binary
+# ones from the flips-only batch; 10**6 + 17 samples end in a partial batch
+# and 1000 lie below BATCH_SPAN.  Receiver 1 of SIDE_BINARY (p > beta)
 # decodes from its side information, receiver 0 from the channel.
 SIDE_BINARY = BinaryProblem(crossovers=(0.05, 0.3), sideinfo_crossovers=(0.2, 0.1), kappa=1)
 GOLDEN_RUNS = {
     "gaussian": lambda cfg, threads: simulate_uncoded_gaussian(GAUSSIAN, cfg, threads),
     "binary": lambda cfg, threads: simulate_uncoded_binary(SIDE_BINARY, cfg, threads),
-    "wz": lambda cfg, threads: simulate_gaussian_wz_estimator(0.4, 1 / 3, cfg, threads),
 }
 GOLDEN_ESTIMATES = {
     ("gaussian", 10**6 + 17): (
@@ -194,15 +180,13 @@ GOLDEN_ESTIMATES = {
         ("0x1.331491ea626d4p-6", "0x1.434bc2854f857p-7"),
     ),
     ("binary", 10**6 + 17): (
-        ("0x1.9767e32bb9297p-5", "0x1.99cf641ad3cb4p-4"),
-        ("0x1.c7e5f00c0f46bp-13", "0x1.3aa44f3e62207p-12"),
+        ("0x1.9826b997dff28p-5", "0x1.985801d8601e0p-4"),
+        ("0x1.c84b125e0f2bep-13", "0x1.3a2410dab4c57p-12"),
     ),
     ("binary", 1000): (
-        ("0x1.6872b020c49bap-5", "0x1.c28f5c28f5c29p-4"),
-        ("0x1.a90b989256b50p-8", "0x1.44389a4d15f2ep-7"),
+        ("0x1.5810624dd2f1bp-5", "0x1.810624dd2f1aap-4"),
+        ("0x1.9fb4fd8024a7ap-8", "0x1.2e65b7cc8befbp-7"),
     ),
-    ("wz", 10**6 + 17): (("0x1.c77ed44a459eep-3",), ("0x1.4a144c690943ap-12",)),
-    ("wz", 1000): (("0x1.b0f0bcfa2be10p-3",), ("0x1.2876a3fd19dd0p-7",)),
 }
 
 

@@ -3,11 +3,12 @@
 against which the ``dmc-consistency`` suite checks the binary closed forms.
 
 Inputs are an explicit joint distribution over the named auxiliary and input
-variables (T, U_c, U_r, U, and optionally the encoder state S) together with
-the two channel conditionals p(V_c|U) and p(V_r|U).  Every evaluator verifies
-the Markov structure its rate expressions require numerically (conditional
-mutual information below 1e-9) instead of trusting the caller.  Rates are
-returned unclamped; clamping is a consumer policy.
+variables (T, U_c, U_r, U, and any further variable, which the evaluators
+marginalize out) together with the two channel conditionals p(V_c|U) and
+p(V_r|U).  Every evaluator verifies the Markov structure its rate expressions
+require numerically (conditional mutual information below 1e-9) instead of
+trusting the caller.  Rates are returned unclamped; clamping is a consumer
+policy.
 
 Everything here is batch-native.  The joint may carry leading batch axes (see
 ``JointDistribution``) and each channel has shape (..., |U|, |V_k|); the
@@ -152,8 +153,9 @@ def binary_superposition_inputs(
     kappa=1,
 ) -> SchemeInputs:
     """Binary layered instantiation: independent U_c ~ Ber(gamma_c) and
-    U_r ~ Ber(gamma_r), channel input U = U_c xor U_r, encoder state S = U_r,
-    and T = U_c ("uc") or T = U_c xor U_r ("xor").
+    U_r ~ Ber(gamma_r), channel input U = U_c xor U_r, and T = U_c ("uc") or
+    T = U_c xor U_r ("xor"): a joint over (T, U_c, U_r, U) with 4 nonzero
+    cells per element.
 
     The gammas broadcast into the joint's batch shape and the crossovers into
     the channels' batch shapes.
@@ -170,7 +172,7 @@ def binary_superposition_inputs(
     ur = np.array([0, 1, 0, 1])
     u = uc ^ ur
     t = uc if t_choice == "uc" else u
-    pmf = np.zeros(w.shape[:-2] + (2, 2, 2, 2, 2))  # axes (..., T, U_c, U_r, U, S)
-    pmf[..., t, uc, ur, u, ur] = w[..., uc, ur]
-    joint = JointDistribution(("T", "U_c", "U_r", "U", "S"), pmf)
+    pmf = np.zeros(w.shape[:-2] + (2, 2, 2, 2))  # axes (..., T, U_c, U_r, U)
+    pmf[..., t, uc, ur, u] = w[..., uc, ur]
+    joint = JointDistribution(("T", "U_c", "U_r", "U"), pmf)
     return SchemeInputs(joint, bsc_matrix(p_c), bsc_matrix(p_r), kappa)

@@ -6,16 +6,15 @@ SeedSequence(seed, spawn_key=(k, j)), and batch statistics are reduced in
 batch-index order, so results are bit-identical regardless of how many
 worker threads execute the batches.
 
-All batches of all receivers of one simulation run on one pool.  Each
-worker allocates its float64 work buffers once, each of them batch-long
-(min(BATCH_SPAN, samples)) or a BLOCK_CELLS scratch piece, and every batch
-draws into them with ``out=`` and does its arithmetic in place, in the order
-of the elementwise expressions it implements.  The uncoded Gaussian batch
-holds the source and one channel output batch-long and draws each noise
-vector piece by piece, in stream order, into two scratch pieces: a PCG64
-``standard_normal`` of doubles keeps no state between calls, so the pieces
-are the draws of one batch-long call.  The uncoded binary batch draws only
-the flips of the observation that its decoder uses.
+All batches of all receivers of one simulation run on one pool.  Each batch
+is walked in pieces of at most BLOCK_CELLS samples; each worker allocates its
+float64 piece buffers once, and every piece draws into them with ``out=`` and
+does its arithmetic in place, in the order of the elementwise expressions it
+implements.  Piece sums are added in piece order.  An uncoded Gaussian piece
+draws its source, then the channel noise Z_v, then the side-information
+noise Z_y.  An uncoded binary piece draws only the flips of the observation
+that its decoder uses; a PCG64 ``random`` double takes one 64-bit draw, so
+the pieces are the draws of one batch-long call.
 """
 
 from __future__ import annotations
@@ -78,25 +77,31 @@ def _rng(seed: int, stream: int, batch: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream, batch))))
 
 
-def _reduce_batches(cfg: SimConfig, batch_fns, lengths, threads: int = 1) -> MCEstimate:
+def _reduce_batches(cfg: SimConfig, piece_fns, buffers: int, threads: int = 1) -> MCEstimate:
     """Estimate of every stream, all batches of all streams on one pool.
 
-    batch_fns[k](rng, work) returns (total, total_sq) of one batch of stream
-    k, drawn into and computed in ``work``: one float64 array per entry of
-    ``lengths``, a view of the running worker's own buffer of that length
-    cut to at most the batch length.  Batch sums are reduced in batch order.
+    piece_fns[k](rng, work) returns (total, total_sq) of one piece of a batch
+    of stream k, drawn from the batch's stream into and computed in ``work``:
+    ``buffers`` float64 views of the running worker's own BLOCK_CELLS-long
+    buffers, cut to the piece length.  Piece sums are added in piece order
+    and batch sums are reduced in batch order.
     """
-    span = min(BATCH_SPAN, cfg.samples)
     batches = list(_batches(cfg.samples))
-    jobs = [(k, index, n) for k in range(len(batch_fns)) for index, n in batches]
+    jobs = [(k, index, n) for k in range(len(piece_fns)) for index, n in batches]
     local = threading.local()
 
     def run(job):
         k, index, n = job
         work = getattr(local, "work", None)
         if work is None:
-            work = local.work = [np.empty(min(length, span)) for length in lengths]
-        return batch_fns[k](_rng(cfg.seed, k, index), [b[:n] for b in work])
+            work = local.work = [np.empty(min(BLOCK_CELLS, cfg.samples)) for _ in range(buffers)]
+        rng = _rng(cfg.seed, k, index)
+        total = total_sq = 0.0
+        for lo in range(0, n, BLOCK_CELLS):
+            part, part_sq = piece_fns[k](rng, [b[:n - lo] for b in work])
+            total += part
+            total_sq += part_sq
+        return total, total_sq
 
     workers = min(threads, len(jobs))
     if workers > 1:
@@ -133,37 +138,29 @@ def simulate_uncoded_gaussian(
     """
     require_bandwidth_match(problem, "uncoded")
     P = problem.power
-    batch_fns = []
+    piece_fns = []
     for W, N in zip(problem.noise_vars, problem.sideinfo_vars):
         rho = math.sqrt(1.0 - N)
         det = P * N + W
         a = math.sqrt(P) * N / det
         b = rho * W / det
 
-        def batch(rng, work, W=W, N=N, rho=rho, a=a, b=b):
+        def piece(rng, work, W=W, N=N, rho=rho, a=a, b=b):
             # x = X, v = sqrt(P) X + sqrt(W) Z_v, y = rho X + sqrt(N) Z_y,
-            # se = (x - (a v + b y)) ** 2; Z_v and Z_y are drawn in pieces
-            # of the scratch length, y one piece at a time
+            # se = (x - (a v + b y)) ** 2; z holds Z_v, then Z_y
             x, v, y, z = work
             rng.standard_normal(out=x)
             np.multiply(math.sqrt(P), x, out=v)
-            pieces = [slice(lo, lo + z.size) for lo in range(0, x.size, z.size)]
-            for piece in pieces:
-                zp = z[:v[piece].size]
-                v[piece] += np.multiply(math.sqrt(W), rng.standard_normal(out=zp), out=zp)
-            for piece in pieces:
-                vp = v[piece]
-                zp, yp = z[:vp.size], y[:vp.size]
-                np.multiply(rho, x[piece], out=yp)
-                yp += np.multiply(math.sqrt(N), rng.standard_normal(out=zp), out=zp)
-                vp *= a
-                yp *= b
-                vp += yp
+            v += np.multiply(math.sqrt(W), rng.standard_normal(out=z), out=z)
+            np.multiply(rho, x, out=y)
+            y += np.multiply(math.sqrt(N), rng.standard_normal(out=z), out=z)
+            v *= a
+            y *= b
+            v += y
             return _square_sums(np.subtract(x, v, out=x))
 
-        batch_fns.append(batch)
-    lengths = (BATCH_SPAN, BATCH_SPAN, BLOCK_CELLS, BLOCK_CELLS)  # x, v, y and z pieces
-    return _reduce_batches(cfg, batch_fns, lengths, threads)
+        piece_fns.append(piece)
+    return _reduce_batches(cfg, piece_fns, 4, threads)  # x, v, y and z pieces
 
 
 def simulate_uncoded_binary(
@@ -175,10 +172,10 @@ def simulate_uncoded_binary(
     information otherwise, matching the maximum-likelihood rule.
     """
     require_bandwidth_match(problem, "uncoded")
-    batch_fns = []
+    piece_fns = []
     for p, beta in zip(problem.crossovers, problem.sideinfo_crossovers):
 
-        def batch(rng, work, p=p, beta=beta):
+        def piece(rng, work, p=p, beta=beta):
             # x ^ e differs from x exactly where e is set, so the decoder errs
             # where the flip of its chosen observation is set; neither x nor
             # the flips of the other observation are drawn
@@ -187,6 +184,6 @@ def simulate_uncoded_binary(
             errors = float(np.count_nonzero(np.less(u, min(p, beta), out=u)))
             return errors, errors  # exact: counts stay below 2**53; err^2 == err
 
-        batch_fns.append(batch)
-    return _reduce_batches(cfg, batch_fns, (BATCH_SPAN,), threads)
+        piece_fns.append(piece)
+    return _reduce_batches(cfg, piece_fns, 1, threads)
 

@@ -709,9 +709,9 @@ DMC_LINES = {
     42: "[PASS] dmc-consistency: max deviation 1.110e-15 (tol 1e-09)",
 }
 MC_LINES = {
-    13: "[PASS] mc-uncoded: gaussian (0.44405, 0.22201) vs (0.44444, 0.22222), "
+    13: "[PASS] mc-uncoded: gaussian (0.44355, 0.22202) vs (0.44444, 0.22222), "
         "binary (0.04989, 0.10023) (threshold 4 stderr)",
-    42: "[PASS] mc-uncoded: gaussian (0.44559, 0.22176) vs (0.44444, 0.22222), "
+    42: "[PASS] mc-uncoded: gaussian (0.445, 0.2218) vs (0.44444, 0.22222), "
         "binary (0.04982, 0.0997) (threshold 4 stderr)",
 }
 

@@ -235,11 +235,11 @@ def test_extend_with_outputs_broadcasts_channels_against_the_batch():
 
 def violating_pmf():
     # T = U, but U is random given (U_c, U_r)
-    pmf = np.zeros((2, 2, 2, 2, 2))  # (T, U_c, U_r, U, S)
+    pmf = np.zeros((2, 2, 2, 2))  # (T, U_c, U_r, U), the axes of binary_superposition_inputs
     for uc in (0, 1):
         for ur in (0, 1):
             for u in (0, 1):
-                pmf[u, uc, ur, u, ur] += 0.25 * (0.3 if u == 0 else 0.7)
+                pmf[u, uc, ur, u] += 0.25 * (0.3 if u == 0 else 0.7)
     return pmf
 
 
@@ -247,10 +247,10 @@ def test_one_markov_violation_fails_the_batch():
     good = binary_superposition_inputs(0.1, 0.2, np.array([0.1, 0.2, 0.3]), 0.25).joint.pmf
     pmf = np.concatenate([good, violating_pmf()[None]])
     inputs = SchemeInputs(
-        JointDistribution(("T", "U_c", "U_r", "U", "S"), pmf), bsc_matrix(0.1), bsc_matrix(0.2)
+        JointDistribution(("T", "U_c", "U_r", "U"), pmf), bsc_matrix(0.1), bsc_matrix(0.2)
     )
     alone = SchemeInputs(
-        JointDistribution(("T", "U_c", "U_r", "U", "S"), violating_pmf()),
+        JointDistribution(("T", "U_c", "U_r", "U"), violating_pmf()),
         bsc_matrix(0.1),
         bsc_matrix(0.2),
     )
@@ -272,9 +272,9 @@ def test_one_bad_batch_element_raises():
     with pytest.raises(ValueError, match="non-finite"):
         binary_superposition_inputs(0.1, 0.2, 0.25, np.array([0.1, 0.2, np.nan]))
     pmf = binary_superposition_inputs(0.1, 0.2, gammas, 0.25).joint.pmf.copy()
-    pmf[2, 0, 0, 0, 0, 0] += 1e-6
+    pmf[2, 0, 0, 0, 0] += 1e-6
     with pytest.raises(ValueError, match="sum"):
-        JointDistribution(("T", "U_c", "U_r", "U", "S"), pmf)
+        JointDistribution(("T", "U_c", "U_r", "U"), pmf)
     joint = binary_superposition_inputs(0.1, 0.2, gammas, 0.25).joint
     channels = bsc_matrix(np.array([0.1, 0.2, 0.3, 0.4]))
     bad_row = channels.copy()

@@ -139,15 +139,15 @@ def test_uncoded_binary_estimate_is_pinned(seed, threads):
     assert tuple(s.hex() for s in est.stderr) == stderr
 
 
-# estimates from batch-long noise buffers; drawing the noise in BLOCK_CELLS
-# pieces must reproduce them bit for bit at every thread count
+# estimates of batches walked in BLOCK_CELLS pieces, each piece drawing its
+# x, then its Z_v, then its Z_y; the same bits at every thread count
 GAUSSIAN_ESTIMATES = {
-    1: (("0x1.c564a4a6359ffp-2", "0x1.c7526d279a123p-3"),
-        ("0x1.4917852613556p-11", "0x1.49bfad01b5279p-12")),
-    13: (("0x1.c6b4f843d7120p-2", "0x1.c6aee5f68bd6ap-3"),
-         ("0x1.49b0587000c58p-11", "0x1.491dfddc69663p-12")),
-    42: (("0x1.c849268498f73p-2", "0x1.c62ca515da142p-3"),
-         ("0x1.4a4f7cbadb8b5p-11", "0x1.491811edc8e53p-12")),
+    1: (("0x1.c762533bda224p-2", "0x1.c6db422288486p-3"),
+        ("0x1.49c172b2e097cp-11", "0x1.48f09d3c459cbp-12")),
+    13: (("0x1.c6323f4ff9136p-2", "0x1.c6b0a141e1600p-3"),
+         ("0x1.48ae7a6bb46aep-11", "0x1.48dc5ca646b89p-12")),
+    42: (("0x1.c7ae51dc89155p-2", "0x1.c63d765c0fec0p-3"),
+         ("0x1.49a55ca650fa4p-11", "0x1.48f3b9fa4f2cbp-12")),
 }
 
 
@@ -160,11 +160,12 @@ def test_uncoded_gaussian_estimate_is_pinned(seed, threads):
     assert tuple(s.hex() for s in est.stderr) == stderr
 
 
-# float.hex of every (mean, stderr): the Gaussian ones from the former
-# per-receiver pools, which drew every batch into fresh arrays, the binary
-# ones from the flips-only batch; 10**6 + 17 samples end in a partial batch
-# and 1000 lie below BATCH_SPAN.  Receiver 1 of SIDE_BINARY (p > beta)
-# decodes from its side information, receiver 0 from the channel.
+# float.hex of every (mean, stderr): the Gaussian ones from batches walked in
+# pieces, the binary ones from the flips-only batch; 10**6 + 17 samples end in
+# a partial batch and 1000 lie below BLOCK_CELLS, so that run is one piece,
+# drawn as the former per-receiver pools drew it into fresh arrays.  Receiver
+# 1 of SIDE_BINARY (p > beta) decodes from its side information, receiver 0
+# from the channel.
 SIDE_BINARY = BinaryProblem(crossovers=(0.05, 0.3), sideinfo_crossovers=(0.2, 0.1), kappa=1)
 GOLDEN_RUNS = {
     "gaussian": lambda cfg, threads: simulate_uncoded_gaussian(GAUSSIAN, cfg, threads),
@@ -172,8 +173,8 @@ GOLDEN_RUNS = {
 }
 GOLDEN_ESTIMATES = {
     ("gaussian", 10**6 + 17): (
-        ("0x1.c892f08b902cfp-2", "0x1.c6613d0dd683bp-3"),
-        ("0x1.4ab531f00c115p-11", "0x1.49472f7723dc7p-12"),
+        ("0x1.c7b33c273f322p-2", "0x1.c63d65b4ca891p-3"),
+        ("0x1.49a6cf4e625efp-11", "0x1.48f2e65355d6dp-12"),
     ),
     ("gaussian", 1000): (
         ("0x1.b25f25d4cc7d8p-2", "0x1.cdedcc9b6e11dp-3"),

@@ -13,7 +13,7 @@ import pytest
 from wzbc.binary import binary_lds_region, binary_separate_region
 from wzbc.cli import main
 from wzbc.core import BinaryProblem, GaussianProblem
-from wzbc.mcsim import SimConfig, simulate_uncoded_gaussian
+from wzbc.mcsim import SimConfig, simulate_uncoded_binary, simulate_uncoded_gaussian
 
 MB = 2**20
 
@@ -47,11 +47,19 @@ def test_gaussian_oracle_suite_holds_one_block_and_the_staircase():
     assert traced_peak(run) <= 3 * MB
 
 
-def test_uncoded_gaussian_two_workers_hold_two_batch_buffers_each():
-    # per worker: x and v of 2^18 doubles (2 MB each) and two 2^14-double pieces
+def test_uncoded_gaussian_two_workers_hold_four_pieces_each():
+    # per worker: x, v, y and z pieces of 2^14 doubles (128 KiB each), while
+    # one batch-long buffer alone would take 2 MiB
     problem = GaussianProblem(1.0, (1.0, 0.5), (0.8, 0.4), 1)
     cfg = SimConfig(10**6, 42)
-    assert traced_peak(lambda: simulate_uncoded_gaussian(problem, cfg, threads=2)) <= 10 * MB
+    assert traced_peak(lambda: simulate_uncoded_gaussian(problem, cfg, threads=2)) <= 2 * MB
+
+
+def test_uncoded_binary_two_workers_hold_one_piece_each():
+    # per worker: one piece of 2^14 doubles for the flips
+    problem = BinaryProblem((0.05, 0.1), (0.2, 0.1), 1)
+    cfg = SimConfig(10**6, 42)
+    assert traced_peak(lambda: simulate_uncoded_binary(problem, cfg, threads=2)) <= 1 * MB
 
 
 @pytest.mark.parametrize("region", [binary_lds_region, binary_separate_region])

@@ -39,7 +39,9 @@ enters only through the bad-receiver cap kappa * (1 - H2(theta * p_b)) and
 the cumulative cap, and for a fixed bad description the best good-receiver
 distortion never gets worse as the cumulative cap grows.
 
-1. caps -- both caps of every grid theta, from one array call of each kernel;
+1. caps -- both caps of every grid theta are T = U_c rates of the layered
+   channel table with theta as gamma_r and the bad receiver as c: the bad
+   cap is R_cc and the cumulative cap R_cc + R_rr;
 2. theta -- each (q_b, alpha_b) cell keeps, of the thetas whose bad cap admits
    its rate, the one with the largest cumulative cap (a stable sort of theta
    by bad cap, a prefix argmax of the cumulative cap and a searchsorted);
@@ -544,20 +546,6 @@ def separate_coding_labels(problem: BinaryProblem) -> tuple:
     return bad_good_labels(problem.crossovers, problem.sideinfo_crossovers)
 
 
-def _separate_caps(p_b, p_g, kappa, thetas):
-    """Bad-receiver and cumulative channel rates of separate coding per theta.
-
-    cap_b = kappa * (1 - H2(theta * p_b)) and
-    cap_tot = cap_b + kappa * (H2(theta * p_g) - H2(p_g)), one array call of
-    each kernel over the theta grid.
-    """
-    cap_b = kappa * (1.0 - binary_entropy(binary_convolution(thetas, p_b)))
-    cap_tot = cap_b + kappa * (
-        binary_entropy(binary_convolution(thetas, p_g)) - binary_entropy(p_g)
-    )
-    return cap_b, cap_tot
-
-
 def _separate_best_theta(cap_b, cap_tot, need):
     """Theta index with the largest cumulative cap among those whose bad cap
     admits each bad-description rate in need (-1 when none admits it).
@@ -596,7 +584,10 @@ def binary_separate_region(problem: BinaryProblem, resolution: int = 41) -> Trad
     qs, alphas = _grids(resolution)
     res = qs.size
     thetas = np.linspace(0.0, 0.5, resolution)
-    cap_b, cap_tot = _separate_caps(p_b, p_g, float(problem.kappa), thetas)
+    # T = U_c channel rates with the bad receiver as c: cap_b = R_cc, cap_tot = R_cc + R_rr
+    rates, _ = _channel_rate_table(p_b, p_g, problem.kappa, 0.5, thetas, TChoice.T_EQUALS_UC)
+    cap_b = rates[:, 0]
+    cap_tot = cap_b + rates[:, 2]
     r_bb = wz_rate_kernel(alphas, beta_b)  # r(alpha, beta_b) on the alpha grid
     r_bg = wz_rate_kernel(alphas, beta_g)
     need = np.outer(qs, r_bb).ravel()  # bad-description rate per (q_b, alpha_b)

@@ -7,8 +7,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation failure, 2 usage error (including a
 WZBC_THREADS value that is not a positive integer, a compare --resolution
-below 3, and a point parameter that the scheme does not read or that is given
-twice).
+below 3, a compare run that skipped every scheme, and a point parameter that
+the scheme does not read or that is given twice).  compare skips a scheme
+whose evaluation fails or whose rows leave the distortion bounds.
 Each validate suite has one named tolerance, ``max-dev`` (``n-stderr`` for
 mc-uncoded), which ``--tolerance NAME=VALUE`` overrides; any other name, or a
 value that is not a finite number >= 0, is a usage error.
@@ -36,8 +37,10 @@ from . import gaussian as gs
 from .core import (
     BLOCK_CELLS,
     BinaryProblem,
+    BoundsViolation,
     GaussianProblem,
     load_problem,
+    require_within_bounds,
 )
 from .dmc import binary_superposition_inputs, lds_rate_triple, scheme1_rate_triple
 from .infotheory import binary_convolution, wz_rate_kernel
@@ -189,12 +192,11 @@ def cmd_compare(args) -> int:
     manifest = f"problem={os.path.basename(args.problem)};kappa={problem.kappa};" \
                f"resolution={args.resolution};seed={args.seed}"
     csvs = []
-    failures = []
     for scheme in schemes:
         try:
             rows = known[scheme](problem, args.resolution, args.extend_flat)
-        except ValueError as exc:
-            failures.append((scheme, str(exc)))
+            require_within_bounds(problem, np.asarray(rows, dtype=float).reshape(-1, 2).T)
+        except (ValueError, BoundsViolation, OverflowError) as exc:
             print(f"scheme {scheme} skipped: {exc}", file=sys.stderr)
             continue
         fname = f"{scheme}.csv"

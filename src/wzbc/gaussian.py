@@ -136,6 +136,14 @@ class GaussianLdsParams:
             )
 
 
+def _common_layer_rate(P, W, nubar_p, dpc, gap):
+    """Common-layer rate 0.5 log2((1 + P/W) / denom) and its denominator
+    denom = 1 + nubar P (dpc + gap), elementwise over broadcast arrays, with
+    dpc = gamma^2/(nu P) and gap = (1 - gamma)^2 / W."""
+    denom = 1.0 + nubar_p * (dpc + gap)
+    return 0.5 * np.log2((1.0 + P / W) / denom), denom
+
+
 def gaussian_lds_channel_rates(
     problem: GaussianProblem, assign: RoleAssignment, params: GaussianLdsParams
 ) -> RateTriple:
@@ -143,37 +151,32 @@ def gaussian_lds_channel_rates(
 
     R_cc = (1/2) log2 [(1 + P/W_c) / (1 + nubar P (gamma^2/(nu P) + (1-gamma)^2/W_c))],
     R_cr the same with W_r, and R_rr = (1/2) log2 of that denominator with W_r.
-    Negative values are clamped to 0 with the clamped flag set.
+    Negative values are clamped to 0 with the clamped flag set.  This is a
+    one-cell call of the rate kernel of the (nu, gamma) sweep.
     """
     require_two_receivers(problem)
     P = problem.power
-    W_c = problem.noise_vars[assign.c]
-    W_r = problem.noise_vars[assign.r]
+    W_c, W_r = problem.noise_vars[assign.c], problem.noise_vars[assign.r]
     nu, gamma = params.nu, params.gamma
-    nubar = 1.0 - nu
-    if nu == 0.0:
-        dpc = 0.0  # gamma is pinned to 0, the gamma^2/(nu P) term vanishes in the limit
-    else:
-        dpc = gamma * gamma / (nu * P)
-    denom_c = 1.0 + nubar * P * (dpc + (1.0 - gamma) ** 2 / W_c)
-    denom_r = 1.0 + nubar * P * (dpc + (1.0 - gamma) ** 2 / W_r)
-    r_cc = 0.5 * math.log2((1.0 + P / W_c) / denom_c)
-    r_cr = 0.5 * math.log2((1.0 + P / W_r) / denom_r)
-    r_rr = 0.5 * math.log2(denom_r)
-    return RateTriple(r_cc, r_cr, r_rr).clamp()
+    # gamma is pinned to 0 at nu = 0, where the gamma^2/(nu P) term vanishes in the limit
+    dpc = np.array([gamma * gamma / (nu * P) if nu > 0.0 else 0.0])
+    nubar_p = np.array([(1.0 - nu) * P])
+    r_cc, _ = _common_layer_rate(P, W_c, nubar_p, dpc, (1.0 - gamma) ** 2 / W_c)
+    r_cr, denom_r = _common_layer_rate(P, W_r, nubar_p, dpc, (1.0 - gamma) ** 2 / W_r)
+    r_rr = 0.5 * np.log2(denom_r)
+    return RateTriple(float(r_cc[0]), float(r_cr[0]), float(r_rr[0])).clamp()
 
 
-def _lds_distortion_pair(problem, assign, R_cc, R_cr, R_rr) -> tuple:
-    """(D_c, D_r) of one nonnegative rate triple, in scalar (libm) arithmetic."""
+def _lds_distortions(problem, assign, r_cc, r_cr, r_rr):
+    """(D_c, D_r) arrays of nonnegative rate-triple arrays (see ``gaussian_lds_distortions``)."""
     kappa = float(problem.kappa)
-    N_c = problem.sideinfo_vars[assign.c]
-    N_r = problem.sideinfo_vars[assign.r]
-    phi = min(
-        (2.0 ** (2.0 * kappa * R_cc) - 1.0) / N_c,
-        (2.0 ** (2.0 * kappa * R_cr) - 1.0) / N_r,
+    N_c, N_r = problem.sideinfo_vars[assign.c], problem.sideinfo_vars[assign.r]
+    phi = np.minimum(
+        (2.0 ** (2.0 * kappa * r_cc) - 1.0) / N_c,
+        (2.0 ** (2.0 * kappa * r_cr) - 1.0) / N_r,
     )
     d_c = N_c / (1.0 + N_c * phi)
-    d_r = N_r / (1.0 + N_r * phi) * 2.0 ** (-2.0 * kappa * R_rr)
+    d_r = N_r / (1.0 + N_r * phi) * 2.0 ** (-2.0 * kappa * r_rr)
     return d_c, d_r
 
 
@@ -188,12 +191,9 @@ def gaussian_lds_distortions(
     require_two_receivers(problem)
     if min(rates.as_tuple()) < 0:
         raise ValueError(f"rates must be nonnegative, got {rates.as_tuple()}")
-    d_c, d_r = _lds_distortion_pair(problem, assign, *rates.as_tuple())
-    D = [0.0, 0.0]
-    D[assign.c] = d_c
-    D[assign.r] = d_r
+    d_c, d_r = _lds_distortions(problem, assign, *np.array(rates.as_tuple())[:, None])
     point = DistortionPoint(
-        D=tuple(D),
+        D=(d_c[0], d_r[0]) if assign.c == 0 else (d_r[0], d_c[0]),
         scheme="lds",
         params={
             "assign": (assign.common_receiver, assign.refinement_receiver),
@@ -384,6 +384,16 @@ def gaussian_separate_closed_form(problem: GaussianProblem, D_b):
     return _scalar_or_array(N_g / denom_ch * np.maximum(W_g * D_b, alt))
 
 
+def _scheme3_rates(problem, assign, nu):
+    """(R_cc, R_cr, R_rr) arrays of the reversed-decoding variant over a nu array."""
+    P = problem.power
+    W_c, W_r = problem.noise_vars[assign.c], problem.noise_vars[assign.r]
+    r_cc = 0.5 * np.log2(1.0 + nu * P / W_c)
+    r_cr = 0.5 * np.log2(1.0 + nu * P / W_r)
+    r_rr = 0.5 * np.log2(1.0 + (1.0 - nu) * P / (nu * P + W_r))
+    return r_cc, r_cr, r_rr
+
+
 def gaussian_scheme3_rates(
     problem: GaussianProblem, assign: RoleAssignment, nu: float
 ) -> RateTriple:
@@ -391,39 +401,26 @@ def gaussian_scheme3_rates(
 
     The refinement codeword is decoded first while the common layer acts as
     noise; the precoding parameter is set to its point-to-point optimum, which
-    only affects R_cc.
+    only affects R_cc.  This is a one-cell call of the kernel of
+    ``gaussian_scheme3_curve``.
     """
     require_two_receivers(problem)
     if not 0.0 <= nu <= 1.0:
         raise ValueError(f"nu must lie in [0, 1], got {nu}")
-    return RateTriple(*_scheme3_rate_tuple(problem, assign, nu))
-
-
-def _scheme3_rate_tuple(problem, assign, nu) -> tuple:
-    """(R_cc, R_cr, R_rr) of the reversed-decoding variant, in scalar (libm) arithmetic."""
-    P = problem.power
-    W_c, W_r = problem.noise_vars[assign.c], problem.noise_vars[assign.r]
-    nubar = 1.0 - nu
-    r_cc = 0.5 * math.log2(1.0 + nu * P / W_c)
-    r_cr = 0.5 * math.log2(1.0 + nu * P / W_r)
-    r_rr = 0.5 * math.log2(1.0 + nubar * P / (nu * P + W_r)) if nu > 0 else gaussian_capacity(P, W_r)
-    return r_cc, r_cr, r_rr
+    return RateTriple(*(float(r[0]) for r in _scheme3_rates(problem, assign, np.array([nu]))))
 
 
 def gaussian_scheme3_curve(problem: GaussianProblem, assign: RoleAssignment, count: int):
     """Distortion pairs of the reversed-decoding variant at nu = linspace(0, 1, count).
 
-    Returns arrays (D_c, D_r).  Each point is the scalar
-    ``gaussian_lds_distortions(gaussian_scheme3_rates(nu))`` value, computed
-    with the same libm calls (numpy's vectorized log2 and pow can differ in
-    the last bit); the curve is bounds-checked once.
+    Returns arrays (D_c, D_r), one array evaluation of the rate and
+    distortion kernels, so each point equals, bit for bit, the one-cell
+    ``gaussian_lds_distortions(gaussian_scheme3_rates(nu))`` value; the
+    curve is bounds-checked once.
     """
     require_two_receivers(problem)
-    pairs = [
-        _lds_distortion_pair(problem, assign, *_scheme3_rate_tuple(problem, assign, nu))
-        for nu in np.linspace(0.0, 1.0, count).tolist()
-    ]
-    d_c, d_r = np.array(pairs).reshape(-1, 2).T
+    rates = _scheme3_rates(problem, assign, np.linspace(0.0, 1.0, count))
+    d_c, d_r = _lds_distortions(problem, assign, *rates)
     require_within_bounds(problem, (d_c, d_r) if assign.c == 0 else (d_r, d_c))
     return d_c, d_r
 
@@ -489,27 +486,20 @@ def _lds_cloud_blocks(problem, assign, nu_count, gamma_count, gamma_lo=-1.0, gam
         with np.errstate(divide="ignore", invalid="ignore"):
             dpc = gamma_sq[None, :] / nu_p[block, None]
             dpc[nu[block] == 0] = dpc_nu0
-            denom_c = 1.0 + nubar_p[block, None] * (dpc + gap_c[None, :])
-            r_cc = 0.5 * np.log2((1.0 + P / W_c) / denom_c)
+            r_cc, _ = _common_layer_rate(P, W_c, nubar_p[block, None], dpc, gap_c[None, :])
             # skip materially clamped cells; boundary noise is snapped to 0 below
             kept = np.isfinite(dpc) & (r_cc >= -RANGE_GUARD)
             row, col = np.nonzero(kept)
             row += lo
             dpc, r_cc = dpc[kept], r_cc[kept]
-            denom_r = 1.0 + nubar_p[row] * (dpc + gap_r[col])
-            r_cr = 0.5 * np.log2((1.0 + P / W_r) / denom_r)
+            r_cr, denom_r = _common_layer_rate(P, W_r, nubar_p[row], dpc, gap_r[col])
             ok = r_cr >= -RANGE_GUARD
             row, col, r_cc, r_cr, denom_r = row[ok], col[ok], r_cc[ok], r_cr[ok], denom_r[ok]
             r_rr = 0.5 * np.log2(denom_r)
             r_cc = np.maximum(r_cc, 0.0)
             r_cr = np.maximum(r_cr, 0.0)
             r_rr = np.maximum(r_rr, 0.0)
-            phi = np.minimum(
-                (2.0 ** (2.0 * kappa * r_cc) - 1.0) / N_c,
-                (2.0 ** (2.0 * kappa * r_cr) - 1.0) / N_r,
-            )
-            d_c = N_c / (1.0 + N_c * phi)
-            d_r = N_r / (1.0 + N_r * phi) * 2.0 ** (-2.0 * kappa * r_rr)
+            d_c, d_r = _lds_distortions(problem, assign, r_cc, r_cr, r_rr)
         nu_kept = nu[row]
         nu0_kept = nu0_kept or bool(np.any(nu_kept == 0.0))
         yield d_c, d_r, nu_kept, gamma[col]
@@ -563,8 +553,8 @@ def gaussian_separate_sweep(problem: GaussianProblem, count: int = 400):
 
     For each nu the bad-channel condition is tightened to equality, fixing
     D_b, and the applicable good-channel condition is tightened to give the
-    smallest D_g.  Returns flat arrays {d_b, d_g, nu} in receiver-label order
-    (bad first).
+    smallest D_g, at most N_g.  Returns flat arrays {d_b, d_g, nu} in
+    receiver-label order (bad first).
     """
     require_two_receivers(problem)
     b, g = separate_coding_labels(problem)
@@ -584,4 +574,5 @@ def gaussian_separate_sweep(problem: GaussianProblem, count: int = 400):
         with np.errstate(divide="ignore", invalid="ignore"):
             sol2 = (N_g / good_rhs - d_b) * N_b * N_g / (d_b * (N_g - N_b))
         d_g = np.maximum(sol1, np.where(np.isfinite(sol2), sol2, sol1))
-    return {"d_b": d_b, "d_g": d_g, "nu": nu}
+    # rounding can leave d_g above N_g, which is always achievable
+    return {"d_b": d_b, "d_g": np.minimum(d_g, N_g), "nu": nu}

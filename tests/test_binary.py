@@ -26,12 +26,12 @@ from wzbc.binary import (
     binary_wz_distortion,
     layer_distortion,
     _binary_lds_vertices,
+    _channel_rate_table,
     _grids,
     _last_layer,
     _lds_channel_table,
     _lds_refinement_search,
     _separate_best_theta,
-    _separate_caps,
     FEAS_TOL,
     separate_coding_labels,
 )
@@ -735,7 +735,8 @@ def test_separate_caps_equal_scalar_expressions_bitwise(resolution, kappa):
     k = float(parse_kappa(kappa))
     thetas = np.linspace(0.0, 0.5, resolution)
     for p_b, p_g in ((0.1, 0.05), (0.3, 0.012), (0.2, 0.2)):
-        cap_b, cap_tot = _separate_caps(p_b, p_g, k, thetas)
+        rates, _ = _channel_rate_table(p_b, p_g, kappa, 0.5, thetas, TChoice.T_EQUALS_UC)
+        cap_b, cap_tot = rates[:, 0], rates[:, 0] + rates[:, 2]
         for theta, cb, ct in zip(thetas, cap_b, cap_tot):
             want_b = k * (1.0 - binary_entropy(binary_convolution(theta, p_b)))
             want_tot = want_b + k * (

@@ -369,6 +369,77 @@ def test_compare_kappa_mismatch_skips_scheme_but_continues(tmp_path, gaussian_fi
     assert (out / "cds.csv").exists()
 
 
+GAUSSIAN_SCHEMES = ("converse", "uncoded", "cds", "lds", "separate", "scheme3")
+
+
+# ill-conditioned problems: {scheme: text of its skip line}, in scheme order,
+# and whether a numpy RuntimeWarning is expected on the way
+@pytest.mark.parametrize(
+    "data, skipped, warns",
+    [
+        pytest.param(
+            {"P": 0.001, "W": [1e-6, 1e8], "N": [0.5, 1e-6], "kappa": "1"},
+            {"lds": "D1 = 0.502631373808608 lies outside [0, 0.5]",
+             "scheme3": "D1 = 0.5000010452010196 lies outside [0, 0.5]"},
+            False,
+            id="rows-above-N1",
+        ),
+        pytest.param(
+            {"P": 0.001, "W": [1e8, 1e-8], "N": [1e-8, 0.5], "kappa": "1"},
+            {"lds": "D2 = inf lies outside [0, 0.5]"},
+            True,
+            id="infinite-row",
+        ),
+        pytest.param(
+            {"P": 0.5, "W": [0.5, 1e-300], "N": [1e-300, 1e-8], "kappa": "2"},
+            {"converse": "", "uncoded": "bandwidth match", "cds": "", "lds": "", "scheme3": ""},
+            True,
+            id="overflow",
+        ),
+    ],
+)
+def test_compare_skips_a_scheme_whose_rows_leave_the_bounds_or_overflow(
+    tmp_path, capsys, data, skipped, warns
+):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(dict(data, kind="gaussian")))
+    out = tmp_path / "out"
+    argv = ["compare", "--problem", str(path), "--schemes", ",".join(GAUSSIAN_SCHEMES),
+            "--resolution", "41", "--out", str(out)]
+    if warns:
+        with pytest.warns(RuntimeWarning):
+            code = main(argv)
+    else:
+        code = main(argv)
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == len(skipped)
+    for line, (scheme, text) in zip(err, skipped.items()):
+        assert line.startswith(f"scheme {scheme} skipped: ") and text in line
+    written = sorted(p.name for p in out.glob("*.csv"))
+    assert written == sorted(f"{s}.csv" for s in GAUSSIAN_SCHEMES if s not in skipped)
+    caps = data["N"]
+    for name in written:
+        for row in read_rows(out / name):
+            assert all(0.0 <= d <= cap + 1e-12 for d, cap in zip(row, caps)), (name, row)
+
+
+def test_compare_exits_2_when_every_scheme_is_skipped(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(
+        {"kind": "gaussian", "P": 0.5, "W": [0.5, 1e-300], "N": [1e-300, 1e-8], "kappa": "2"}
+    ))
+    out = tmp_path / "out"
+    code = main(["compare", "--problem", str(path), "--schemes", "cds,lds", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == [
+        "scheme converse skipped", "scheme cds skipped", "scheme lds skipped", "error"
+    ]
+    assert err[-1] == "error: no scheme produced output"
+    assert list(out.glob("*.csv")) == []
+
+
 def test_compare_extend_flat(tmp_path):
     data = {"kind": "gaussian", "P": 1.0, "W": [2.0, 0.5], "N": [0.3, 0.9], "kappa": "1"}
     path = tmp_path / "g2.json"

@@ -27,6 +27,7 @@ from wzbc.gaussian import (
     lds_cloud_envelope,
     lds_parametric_cloud,
     separate_coding_labels,
+    _lds_cloud_blocks,
 )
 from wzbc.optimize import lower_envelope_indices
 
@@ -276,6 +277,17 @@ def test_separate_sweep_matches_closed_form_at_unit_bandwidth():
             )
 
 
+@pytest.mark.parametrize("kappa", ["1", "1/2"])
+@pytest.mark.parametrize("count", [41, 400, 1001])
+def test_separate_sweep_never_exceeds_the_good_receivers_side_information(kappa, count):
+    # N_g - N_b = 1e-6: the nu = 1 row rounded above N_g = 1 before the clip
+    problem = GaussianProblem(0.5, (7, 0.001), (0.999999, 1), kappa)
+    sweep = gaussian_separate_sweep(problem, count)
+    assert separate_coding_labels(problem) == (0, 1)
+    assert sweep["d_g"].max() <= 1.0
+    assert sweep["d_g"][-1] == 1.0
+
+
 def test_scheme3_closed_form_examples():
     assign = choose_refinement_receiver(P_B)
     n_c, w_r, n_r, P = 0.3, 0.5, 0.9, 1.0
@@ -509,6 +521,22 @@ def test_parametric_cloud_equals_full_grid_reference_bitwise(kappa, grid, common
             assert same_bits(cloud[key], ref[key]), key
         # the nu = 0 corner is a grid cell or the appended last point
         assert has_zero or (cloud["nu"][-1], cloud["gamma"][-1]) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("kappa", ["1", "1/2", "2"])
+@pytest.mark.parametrize("common", [1, 2])
+def test_scalar_entry_points_equal_the_sweep_bitwise(kappa, common):
+    # 31 gamma values on [-1, 2] include 0, so every yielded cell is a kept grid cell
+    assert np.any(np.linspace(-1.0, 2.0, 31) == 0.0)
+    assign = RoleAssignment(common, 3 - common)
+    for base in (P_A, P_B):
+        problem = GaussianProblem(base.power, base.noise_vars, base.sideinfo_vars, kappa)
+        for d_c, d_r, nu, gamma in _lds_cloud_blocks(problem, assign, 41, 31):
+            for cell in zip(d_c.tolist(), d_r.tolist(), nu.tolist(), gamma.tolist()):
+                rates = gaussian_lds_channel_rates(problem, assign, GaussianLdsParams(*cell[2:]))
+                assert not rates.clamped
+                D = gaussian_lds_distortions(problem, assign, rates).D
+                assert (D[assign.c].hex(), D[assign.r].hex()) == (cell[0].hex(), cell[1].hex())
 
 
 def envelope_corpus():

@@ -183,14 +183,21 @@ def binary_wz_distortion(beta: float, R: float) -> float:
     g(d) = R, and above that it is 0.  Both points are found by bisection in
     plain floats until the bracket stops shrinking.
     """
+    return _wz_distortion_witness(beta, R)[0]
+
+
+def _wz_distortion_witness(beta: float, R: float) -> tuple:
+    """(value, q, alpha): ``binary_wz_distortion`` and a description (q, alpha)
+    that attains it, q = R / g(d_t) and alpha = d_t on the tangent, q = 1 and
+    alpha = d at saturation; (0, beta) at R = 0 and (1, 0) when the value is 0."""
     if not 0.0 <= beta <= 0.5:
         raise ValueError(f"beta must lie in [0, 1/2], got {beta}")
     if not R >= 0.0:  # NaN fails too
         raise ValueError(f"rate must be nonnegative, got {R}")
     if R == 0.0:
-        return beta
+        return beta, 0.0, beta
     if beta == 0.0 or R >= _h2(beta):
-        return 0.0
+        return 0.0, 1.0, 0.0
     k = 1.0 - 2.0 * beta
 
     def g(d):
@@ -204,8 +211,9 @@ def binary_wz_distortion(beta: float, R: float) -> float:
     d_t = _bisect(tangent_sign, 0.0, beta)[1]
     g_t = g(d_t)
     if R < g_t:
-        return beta - R * ((beta - d_t) / g_t)
-    return _bisect(lambda d: R - g(d), 0.0, d_t)[1]
+        return beta - R * ((beta - d_t) / g_t), R / g_t, d_t
+    d = _bisect(lambda d: R - g(d), 0.0, d_t)[1]
+    return d, 1.0, d
 
 
 def binary_trivial_converse(problem: BinaryProblem) -> tuple:

@@ -7,8 +7,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation failure, 2 usage error (including a
 WZBC_THREADS value that is not a positive integer, a compare --resolution
-below 3, a compare run that skipped every scheme, and a point parameter that
-the scheme does not read or that is given twice).  compare skips a scheme
+below 3, a compare run that skipped every scheme, a point parameter that the
+scheme does not read or that is given twice, and a point whose evaluation
+overflows a float or leaves the distortion bounds).  compare skips a scheme
 whose evaluation fails or whose rows leave the distortion bounds.
 Each validate suite has one named tolerance, ``max-dev`` (``n-stderr`` for
 mc-uncoded), which ``--tolerance NAME=VALUE`` overrides; any other name, or a
@@ -35,7 +36,6 @@ import numpy as np
 from . import binary as bn
 from . import gaussian as gs
 from .core import (
-    BLOCK_CELLS,
     BinaryProblem,
     BoundsViolation,
     GaussianProblem,
@@ -214,13 +214,25 @@ def _report(name, ok, detail) -> bool:
     return ok
 
 
-def _suite_gaussian_oracle(tol, seed):
-    """Parametric sweep envelope vs the closed-form layered curve.
+def _lds_curve(problem, assign, d_c):
+    """The layered curve on [D_c of cds, N_c]: at kappa = 1 the closed form,
+    continued flat past its domain, otherwise ``gaussian_lds_curve``."""
+    if problem.kappa == 1:
+        return gs.gaussian_lds_closed_form(problem, assign, d_c, extend_flat=True)
+    return gs.gaussian_lds_curve(problem, assign, d_c)
 
-    Three instances at kappa = 1 against ``gaussian_lds_closed_form`` on its
-    domain, and the fixture at kappa = 1/2 against ``gaussian_lds_curve`` on
-    [D_c of cds, N_c].  The line gives the largest deviation, then that of
-    each instance in this order.
+
+def _suite_gaussian_oracle(tol, seed):
+    """The layered curve against the (nu, gamma) sweep and its own witnesses.
+
+    Three instances at kappa = 1 check ``gaussian_lds_closed_form`` and the
+    fixture at kappa = 1/2 checks ``gaussian_lds_curve``.  An instance's
+    deviation is the larger of two residuals relative to N_k: dominance, the
+    largest (curve(d_c) - d_r) / N_r over the kept cells of the 400x400 sweep,
+    block by block; and witness, the largest |D_k - sample_k| / N_k of the
+    points that the (nu, gamma) witnesses of 50 samples on [D_c of cds, N_c]
+    give through the channel rates and the distortion map.  The line gives
+    the largest deviation, then that of each instance in this order.
     """
     rng = np.random.default_rng(seed)
     instances = [
@@ -238,17 +250,19 @@ def _suite_gaussian_oracle(tol, seed):
     for P, W, N, kappa in instances:
         problem = GaussianProblem(P, W, N, kappa)
         assign = gs.choose_refinement_receiver(problem)
-        env_dc, env_dr = gs.lds_cloud_envelope(problem, assign, 400, 400)
-        if kappa == 1:
-            dmin, dmax = gs.gaussian_lds_dc_range(problem, assign)
-            curve = gs.gaussian_lds_closed_form
-        else:
-            dmin, dmax = gs.gaussian_cds(problem).D[assign.c], N[assign.c]
-            curve = gs.gaussian_lds_curve
-        samples = np.linspace(dmin, dmax, 50)
-        env = np.interp(samples, env_dc, env_dr)
-        exact = curve(problem, assign, samples)
-        deviations.append(float(np.max(np.abs(env - exact))))
+        N_c, N_r = N[assign.c], N[assign.r]
+        dev = -math.inf
+        for d_c, d_r, _, _ in gs._lds_cloud_blocks(problem, assign, 400, 400):
+            above = _lds_curve(problem, assign, d_c) - d_r
+            dev = max(dev, float(np.max(above, initial=-math.inf)) / N_r)
+        d_c = np.linspace(gs.gaussian_cds(problem).D[assign.c], N_c, 50)
+        d_r = _lds_curve(problem, assign, d_c)
+        nus, gammas = gs._lds_curve_witness(problem, assign, d_c)
+        for dc, dr, nu, gamma in zip(d_c.tolist(), d_r.tolist(), nus.tolist(), gammas.tolist()):
+            rates = gs.gaussian_lds_channel_rates(problem, assign, gs.GaussianLdsParams(nu, gamma))
+            D = gs.gaussian_lds_distortions(problem, assign, rates).D
+            dev = max(dev, abs(D[assign.c] - dc) / N_c, abs(D[assign.r] - dr) / N_r)
+        deviations.append(dev)
     worst = max(deviations)
     each = ", ".join(f"{d:.3e}" for d in deviations)
     return _report(
@@ -276,32 +290,33 @@ def _suite_gaussian_ordering(tol, seed):
     return _report("gaussian-ordering", worst <= tol, f"max violation {worst:.3e} (tol {tol:g})")
 
 
-def _brute_wz_distortion(beta, rate, count=800):
-    """Smallest q*alpha + (1-q)*beta over the count x count grid of q in [0, 1]
-    and alpha in [0, beta] with q*r(alpha, beta) <= rate, in blocks of q rows
-    of at most BLOCK_CELLS cells."""
-    qs = np.linspace(0.0, 1.0, count)
-    alphas = np.linspace(0.0, beta, count)
-    r = wz_rate_kernel(alphas, beta)
-    rows = max(1, BLOCK_CELLS // count)
-    best = math.inf  # the q = 0 row is always feasible
-    for lo in range(0, count, rows):
-        q = qs[lo:lo + rows, None]
-        d = q * alphas + (1.0 - q) * beta
-        best = min(best, float(np.min(d, initial=math.inf, where=q * r <= rate)))
-    return best
-
-
 def _suite_binary_oracle(tol, seed):
-    """Point-to-point value vs 2-D brute force and the pinned sub-grid equality."""
+    """Point-to-point value against its witness and a dominance check, and the
+    pinned sub-grid equality.
+
+    For each (beta, R) draw, ``binary_wz_distortion`` gives the value and
+    ``_wz_distortion_witness`` the description (q, alpha).  Its deviation is
+    the largest of the rate excess q r(alpha, beta) - R, the value error
+    |layer_distortion(q, alpha, beta) - value| and the dominance excess: the
+    value minus the least distortion of the feasible points
+    q = min(1, R / r(alpha, beta)) at 20,001 alpha in [0, beta].
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(5):
         beta = float(rng.uniform(0.05, 0.5))
         rate = float(rng.uniform(0.0, 1.0))
-        brute = _brute_wz_distortion(beta, rate)
-        val = bn.binary_wz_distortion(beta, rate)
-        worst = max(worst, abs(brute - val))
+        value = bn.binary_wz_distortion(beta, rate)
+        _, q, alpha = bn._wz_distortion_witness(beta, rate)
+        alphas = np.linspace(0.0, beta, 20_001)
+        r = wz_rate_kernel(alphas, beta)
+        qs = np.divide(rate, r, out=np.ones_like(r), where=r > rate)
+        worst = max(
+            worst,
+            q * wz_rate_kernel(alpha, beta) - rate,
+            abs(bn.layer_distortion(q, alpha, beta) - value),
+            value - float(np.min(bn.layer_distortion(qs, alphas, beta))),
+        )
     problem = BinaryProblem((0.05, 0.1), (0.2, 0.1), Fraction(1))
     a = bn.binary_cds_points(problem, 21)
     b = bn.binary_lds_cds_pinned_points(problem, 21)
@@ -357,9 +372,9 @@ def _suite_mc_uncoded(n_stderr, seed):
 
 # suite name -> (suite function, its tolerance name, default tolerance)
 VALIDATE_SUITES = {
-    "gaussian-oracle": (_suite_gaussian_oracle, "max-dev", 1e-4),
+    "gaussian-oracle": (_suite_gaussian_oracle, "max-dev", 1e-12),
     "gaussian-ordering": (_suite_gaussian_ordering, "max-dev", 1e-10),
-    "binary-oracle": (_suite_binary_oracle, "max-dev", 1e-3),
+    "binary-oracle": (_suite_binary_oracle, "max-dev", 1e-12),
     "dmc-consistency": (_suite_dmc_consistency, "max-dev", 1e-9),
     "mc-uncoded": (_suite_mc_uncoded, "n-stderr", 4.0),
 }
@@ -416,12 +431,12 @@ def cmd_point(args) -> int:
         raise UsageError(f"unknown {kind} point scheme {scheme!r}")
     params = _parse_params(args.param, f"{kind} {scheme}", schemes[scheme])
     flags = []
-    if kind == "gaussian":
-        if scheme == "uncoded":
+    try:
+        if kind == "gaussian" and scheme == "uncoded":
             point = gs.gaussian_uncoded(problem)
-        elif scheme == "cds":
+        elif kind == "gaussian" and scheme == "cds":
             point = gs.gaussian_cds(problem)
-        else:
+        elif kind == "gaussian":
             if "nu" not in params:
                 raise UsageError("lds point requires nu=<value> (and optional gamma=<value>)")
             assign = gs.choose_refinement_receiver(problem)
@@ -430,8 +445,7 @@ def cmd_point(args) -> int:
             if rates.clamped:
                 flags.append("rate-clamped")
             point = gs.gaussian_lds_distortions(problem, assign, rates)
-    else:
-        if scheme == "uncoded":
+        elif scheme == "uncoded":
             point = bn.binary_uncoded(problem)
         else:
             needed = ("q_c", "q_r", "alpha_c", "alpha_r", "gamma_r")
@@ -464,6 +478,8 @@ def cmd_point(args) -> int:
             d1 = bn.layer_distortion(src.q_c, src.alpha_c, beta_c)
             d2 = bn.layer_distortion(src.q_r, src.alpha_r, beta_r)
             point = bn.DistortionPoint(D=(d1, d2), scheme="lds", params=params)
+    except (OverflowError, BoundsViolation) as exc:
+        raise UsageError(f"{kind} {scheme} point failed: {exc}") from exc
     print(
         json.dumps(
             {

@@ -29,7 +29,6 @@ from .core import (
     require_two_receivers,
     require_within_bounds,
 )
-from .optimize import streamed_lower_envelope
 
 RANGE_GUARD = 1e-12  # floating-point slack on closed-interval domain checks
 
@@ -284,6 +283,19 @@ def gaussian_lds_closed_form(
     return _scalar_or_array(D_r)
 
 
+def _lds_curve_targets(problem, assign, D_c):
+    """(phi, A, B, M) arrays of ``gaussian_lds_curve`` at a D_c array."""
+    P = problem.power
+    kappa = float(problem.kappa)
+    W_c, W_r = problem.noise_vars[assign.c], problem.noise_vars[assign.r]
+    N_c, N_r = problem.sideinfo_vars[assign.c], problem.sideinfo_vars[assign.r]
+    phi = 1.0 / D_c - 1.0 / N_c
+    A = (1.0 + P / W_c) / (1.0 + N_c * phi) ** (1.0 / kappa)
+    B = (1.0 + P / W_r) / (1.0 + N_r * phi) ** (1.0 / kappa)
+    M = A if W_c <= W_r else 1.0 + (A - 1.0) * W_c / W_r
+    return phi, A, B, M
+
+
 def gaussian_lds_curve(problem: GaussianProblem, assign: RoleAssignment, D_c):
     """Exact layered tradeoff D_r as a function of D_c, for any kappa.
 
@@ -306,20 +318,27 @@ def gaussian_lds_curve(problem: GaussianProblem, assign: RoleAssignment, D_c):
     require_two_receivers(problem)
     P = problem.power
     kappa = float(problem.kappa)
-    W_c, W_r = problem.noise_vars[assign.c], problem.noise_vars[assign.r]
+    W_r = problem.noise_vars[assign.r]
     N_c, N_r = problem.sideinfo_vars[assign.c], problem.sideinfo_vars[assign.r]
     lo = gaussian_cds(problem).D[assign.c]
     D_c = np.asarray(D_c, dtype=float)
     _require_in_domain(
         "D_c", D_c, (lo - RANGE_GUARD <= D_c) & (D_c <= N_c + RANGE_GUARD), f"[{lo}, {N_c}]"
     )
-    phi = 1.0 / D_c - 1.0 / N_c
-    A = (1.0 + P / W_c) / (1.0 + N_c * phi) ** (1.0 / kappa)
-    B = (1.0 + P / W_r) / (1.0 + N_r * phi) ** (1.0 / kappa)
-    M = A if W_c <= W_r else 1.0 + (A - 1.0) * W_c / W_r
+    phi, _, B, M = _lds_curve_targets(problem, assign, D_c)
     floor = N_r / (1.0 + P / W_r) ** kappa
     D_r = np.where(B <= M, floor, N_r / (1.0 + N_r * phi) * M ** -kappa)
     return _scalar_or_array(D_r)
+
+
+def _lds_curve_witness(problem, assign, D_c):
+    """(nu, gamma) arrays that attain ``gaussian_lds_curve`` at a D_c array: the
+    witnesses its docstring gives, with nu clipped to [0, 1] against rounding."""
+    _, A, B, M = _lds_curve_targets(problem, assign, D_c)
+    if problem.noise_vars[assign.c] <= problem.noise_vars[assign.r]:
+        return np.minimum(1.0, 1.0 / np.minimum(A, B)), np.ones_like(A)
+    nu = 1.0 - (np.minimum(M, B) - 1.0) * problem.noise_vars[assign.r] / problem.power
+    return np.clip(nu, 0.0, 1.0), np.zeros_like(A)
 
 
 def gaussian_lds_dc_of_dr(
@@ -523,29 +542,14 @@ def lds_parametric_cloud(
     every row block of ``_lds_cloud_blocks`` in row-major (nu, gamma) order,
     then the nu = 0 limit corner when no kept cell has nu = 0.  The tests
     and the acceptance suite check against this materialized cloud; the
-    ``gaussian-oracle`` suite takes its envelope with ``lds_cloud_envelope``,
-    which never holds the whole cloud.
+    ``gaussian-oracle`` suite walks the blocks and never holds the whole
+    cloud.
     """
     blocks = _lds_cloud_blocks(problem, assign, nu_count, gamma_count, gamma_lo, gamma_hi)
     return {
         key: np.concatenate(column)
         for key, column in zip(("d_c", "d_r", "nu", "gamma"), zip(*blocks))
     }
-
-
-def lds_cloud_envelope(
-    problem: GaussianProblem, assign: RoleAssignment, nu_count: int, gamma_count: int
-):
-    """(d_c, d_r) arrays of the lower envelope vertices of ``lds_parametric_cloud``.
-
-    The sweep runs over its default gamma range [-1, 2].  Its blocks are
-    folded into a running Pareto staircase as they are evaluated
-    (``streamed_lower_envelope``), so at most one block and the staircase
-    are held; the vertices equal, as floats, ``lower_envelope_indices`` on
-    the materialized cloud.
-    """
-    blocks = _lds_cloud_blocks(problem, assign, nu_count, gamma_count)
-    return streamed_lower_envelope((d_c, d_r) for d_c, d_r, _, _ in blocks)
 
 
 def gaussian_separate_sweep(problem: GaussianProblem, count: int = 400):

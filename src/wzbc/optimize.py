@@ -60,15 +60,6 @@ def _monotone_chain(x, y) -> list:
     return hull
 
 
-def _finite_coordinates(x, y):
-    """x and y as float arrays; ValueError unless every coordinate is finite."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("envelope requires finite coordinates")
-    return x, y
-
-
 def lower_envelope_indices(x, y):
     """Indices (into the input arrays) of the lower-left convex boundary.
 
@@ -90,7 +81,10 @@ def lower_envelope_indices(x, y):
        every point, so the same indices as on the full set.
     3. Andrew's monotone chain on that staircase (``_monotone_chain``).
     """
-    x, y = _finite_coordinates(x, y)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("envelope requires finite coordinates")
     if x.size == 0:
         raise ValueError("envelope of an empty point set")
     step = math.isqrt(x.size)
@@ -99,37 +93,6 @@ def lower_envelope_indices(x, y):
     survivors = _undominated(sx[top], sy[top], x, y)
     order = survivors[_staircase(x[survivors], y[survivors])]
     return order[_monotone_chain(x[order], y[order])].tolist()
-
-
-def streamed_lower_envelope(blocks) -> tuple:
-    """(x, y) arrays of the lower-left convex boundary of a stream of point blocks.
-
-    ``blocks`` yields (x, y) array pairs.  Only a running Pareto staircase is
-    held: each block's points that it dominates are dropped
-    (``_undominated``) and the staircase of (running staircase + the rest) is
-    the new one.  The Pareto-minimal coordinates of a union are those of (the
-    Pareto-minimal coordinates of one part + the other part), and the steps
-    only compare coordinates, so the final staircase holds the same points in
-    the same order as the staircase of all blocks together, and the monotone
-    chain gives the vertices of ``lower_envelope_indices`` on the
-    concatenated blocks, as coordinates.
-    """
-    sx = sy = np.empty(0)
-    for x, y in blocks:
-        x, y = _finite_coordinates(x, y)
-        if sx.size:
-            rest = _undominated(sx, sy, x, y)
-            x, y = x[rest], y[rest]
-        if x.size == 0:
-            continue
-        x = np.concatenate((sx, x))
-        y = np.concatenate((sy, y))
-        top = _staircase(x, y)
-        sx, sy = x[top], y[top]
-    if sx.size == 0:
-        raise ValueError("envelope of an empty point set")
-    hull = _monotone_chain(sx, sy)
-    return sx[hull], sy[hull]
 
 
 def lower_convex_envelope(points) -> TradeoffCurve:

@@ -32,6 +32,7 @@ from wzbc.binary import (
     _lds_channel_table,
     _lds_refinement_search,
     _separate_best_theta,
+    _wz_distortion_witness,
     FEAS_TOL,
     separate_coding_labels,
 )
@@ -65,6 +66,17 @@ def test_wz_distortion_edges():
     for beta, R in ((-0.1, 0.1), (0.6, 0.1), (0.2, -1e-9), (0.2, float("nan"))):
         with pytest.raises(ValueError):
             binary_wz_distortion(beta, R)
+
+
+def test_wz_distortion_witness_meets_the_rate_and_gives_the_value():
+    # edges and both branches: the witness (q, alpha) fits the rate and its
+    # layer distortion is the value
+    cases = [(0.3, 0.0), (0.0, 0.5), (0.3, 2.0), (0.5, 0.4), (0.1, 0.05), (0.1, 0.4)]
+    for beta, R in cases:
+        value, q, alpha = _wz_distortion_witness(beta, R)
+        assert value == binary_wz_distortion(beta, R)
+        assert q * wz_rate_kernel(alpha, beta) <= R + 1e-15
+        assert layer_distortion(q, alpha, beta) == pytest.approx(value, abs=1e-15)
 
 
 def fine_grid_wz_distortion(beta, R, n=2_000_001):
@@ -875,6 +887,26 @@ def test_last_layer_at_the_outer_alpha_only_strict_raises_q():
         assert one_cell_last_layer(budgets, 0.5, 1, False, gain) == (1, b)
         want = (1, 0.5) if admitted else (0, 1.0)
         assert one_cell_last_layer(budgets, 0.5, 1, True, gain) == want
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_last_layer_admits_a_rate_over_its_budget_by_5e_13_not_1e_10(strict):
+    # literal slacks, so the test does not scale with FEAS_TOL: alpha index 0
+    # must refine the outer description (q_o = 0.5, rate 0.5); index 1 is
+    # unbounded and has the smaller gain
+    gain = [1.0, 0.4]
+    for over, want in ((1e-10, (1, 1.0)), (5e-13, (0, 0.5))):
+        budgets = [([1.0, 0.0], 0.5 - over)]
+        assert one_cell_last_layer(budgets, 0.5, 1, strict, gain) == want
+
+
+def test_separate_theta_admits_a_rate_over_its_cap_by_5e_13_not_1e_10():
+    # literal slacks, as above: theta 0 has bad cap 0.3, theta 1 has 0.5 and
+    # the smaller cumulative cap
+    cap_b, cap_tot = np.array([0.3, 0.5]), np.array([0.9, 0.6])
+    for over, want in ((1e-10, [-1, 1]), (5e-13, [1, 0])):
+        need = np.array([0.5 + over, 0.3 + over])
+        assert _separate_best_theta(cap_b, cap_tot, need).tolist() == want
 
 
 @pytest.mark.parametrize("strict", [True, False])

@@ -8,9 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wzbc import binary as bn
 from wzbc import gaussian as gs
-from wzbc.cli import _brute_wz_distortion, _write_csv, main
-from wzbc.core import load_problem
+from wzbc.cli import _write_csv, main
+from wzbc.core import BoundsViolation, GaussianProblem, load_problem
 from wzbc.gaussian import (
     choose_refinement_receiver,
     gaussian_cds,
@@ -19,7 +20,6 @@ from wzbc.gaussian import (
     gaussian_lds_distortions,
     gaussian_scheme3_rates,
 )
-from wzbc.infotheory import wz_rate_kernel
 
 from test_gaussian import (
     reference_lds_closed_form,
@@ -655,6 +655,50 @@ def test_point_rejects_a_name_its_scheme_does_not_read_or_a_repeat(
     assert captured.err == f"error: {message}\n"
 
 
+OVERFLOWING = {"kind": "gaussian", "P": 0.5, "W": [0.5, 1e-300], "N": [1e-300, 1e-8],
+               "kappa": "2"}
+
+
+def out_of_bounds(problem):
+    raise BoundsViolation("D1 = 2.0 outside [0, 0.8]")
+
+
+@pytest.mark.parametrize(
+    "scheme, params, fault",
+    [("cds", [], None), ("lds", ["nu=0.5"], None), ("uncoded", [], out_of_bounds)],
+    ids=["cds-overflow", "lds-overflow", "uncoded-out-of-bounds"],
+)
+def test_point_overflow_or_bounds_violation_is_one_error_line(tmp_path, monkeypatch, capsys,
+                                                              scheme, params, fault):
+    # (1 + P/W)^2 overflows at W = 1e-300; a point out of the bounds ends the same way
+    path = tmp_path / "p.json"
+    if fault is None:
+        path.write_text(json.dumps(OVERFLOWING))
+    else:
+        path.write_text(json.dumps(GAUSSIAN))
+        monkeypatch.setattr(gs, "gaussian_uncoded", fault)
+    assert run_point(str(path), scheme, params) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: gaussian {scheme} point failed: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_import_of_the_cli_loads_only_the_stdlib_and_numpy():
+    # modules that site loads before the import (such as _distutils_hack) do not count
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys; before = set(sys.modules); import wzbc.cli; "
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {"numpy", "wzbc"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) == {"numpy", "wzbc"}
+
+
 @pytest.mark.parametrize("t", [["t=uc"], []], ids=["t=uc", "t-default"])
 def test_point_binary_lds_takes_gamma_c_only_with_xor(binary_file, capsys, t):
     # the T = U_c rates fix gamma_c at 1/2, so a gamma_c there would be echoed unread
@@ -682,8 +726,8 @@ def test_validate_tolerance_override_can_fail():
 
 
 def test_validate_gaussian_oracle_includes_the_exact_curve_at_kappa_half(monkeypatch, capsys):
-    # the fourth instance compares the 400x400 cloud envelope of the fixture at
-    # kappa = 1/2 with gaussian_lds_curve, and its deviation counts in the verdict
+    # the fourth instance checks gaussian_lds_curve on the fixture at kappa =
+    # 1/2: once per block of its 400x400 sweep, then at the 50 witness samples
     curve = gs.gaussian_lds_curve
     seen = []
 
@@ -693,10 +737,32 @@ def test_validate_gaussian_oracle_includes_the_exact_curve_at_kappa_half(monkeyp
 
     monkeypatch.setattr(gs, "gaussian_lds_curve", spy)
     assert main(["validate", "--suite", "gaussian-oracle", "--seed", "42"]) == 0
-    assert seen == [(Fraction(1, 2), 50)]
+    problem = GaussianProblem(1.0, (1.0, 0.5), (0.8, 0.4), Fraction(1, 2))
+    cells = gs.lds_parametric_cloud(problem, gs.choose_refinement_receiver(problem))["d_c"].size
+    assert {kappa for kappa, _ in seen} == {Fraction(1, 2)}
+    assert len(seen) == 11 and sum(n for _, n in seen[:-1]) == cells and seen[-1][1] == 50
     assert capsys.readouterr().out == GAUSSIAN_ORACLE_LINES[42] + "\n"
     monkeypatch.setattr(gs, "gaussian_lds_curve", lambda p, a, d: curve(p, a, d) + 1e-4)
     assert main(["validate", "--suite", "gaussian-oracle", "--seed", "42"]) == 1
+
+
+# (suite, patched module, patched name): each faulted curve or value must
+# fail the suite that checks it
+ORACLE_FAULTS = [
+    ("gaussian-oracle", gs, "gaussian_lds_curve"),
+    ("gaussian-oracle", gs, "gaussian_lds_closed_form"),
+    ("binary-oracle", bn, "binary_wz_distortion"),
+]
+
+
+@pytest.mark.parametrize("scale", [1 + 1e-9, 1 - 1e-9], ids=["up", "down"])
+@pytest.mark.parametrize("suite, module, name", ORACLE_FAULTS, ids=[f[2] for f in ORACLE_FAULTS])
+def test_validate_oracle_fails_a_relative_fault_of_1e_9(monkeypatch, capsys, suite, module,
+                                                        name, scale):
+    exact = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kw: exact(*args, **kw) * scale)
+    assert main(["validate", "--suite", suite, "--seed", "42"]) == 1
+    assert capsys.readouterr().out.startswith(f"[FAIL] {suite}: max deviation ")
 
 
 @pytest.mark.parametrize(
@@ -787,15 +853,16 @@ MC_LINES = {
 }
 
 BINARY_ORACLE_LINES = {
-    1: "[PASS] binary-oracle: max deviation 1.073e-05 (tol 0.001); sub-grid equality True",
-    13: "[PASS] binary-oracle: max deviation 3.903e-04 (tol 0.001); sub-grid equality True",
-    42: "[PASS] binary-oracle: max deviation 2.691e-04 (tol 0.001); sub-grid equality True",
+    1: "[PASS] binary-oracle: max deviation 2.776e-17 (tol 1e-12); sub-grid equality True",
+    13: "[PASS] binary-oracle: max deviation 7.698e-18 (tol 1e-12); sub-grid equality True",
+    42: "[PASS] binary-oracle: max deviation 2.082e-17 (tol 1e-12); sub-grid equality True",
 }
 # the third instance is drawn from the seed
 GAUSSIAN_ORACLE_LINES = {
-    seed: "[PASS] gaussian-oracle: max deviation 5.066e-05 (tol 0.0001); "
-          f"instances 7.129e-07, 5.066e-05, {third}, 3.734e-07"
-    for seed, third in ((1, "2.145e-06"), (13, "2.473e-08"), (42, "8.506e-06"))
+    seed: f"[PASS] gaussian-oracle: max deviation {worst} (tol 1e-12); "
+          f"instances 4.163e-16, 3.701e-16, {third}, 2.776e-16"
+    for seed, worst, third in ((1, "8.750e-16", "8.750e-16"), (13, "4.163e-16", "3.311e-16"),
+                               (42, "9.155e-16", "9.155e-16"))
 }
 
 
@@ -807,29 +874,6 @@ GAUSSIAN_ORACLE_LINES = {
 def test_validate_oracle_printed_line_is_unchanged(capsys, suite, seed, line):
     assert main(["validate", "--suite", suite, "--seed", str(seed)]) == 0
     assert capsys.readouterr().out == line + "\n"
-
-
-def whole_grid_wz_distortion(beta, rate):
-    """The brute force as one 800 x 800 grid: the blocked oracle must equal it."""
-    qs = np.linspace(0.0, 1.0, 800)
-    alphas = np.linspace(0.0, beta, 800)
-    r = wz_rate_kernel(alphas, beta)
-    feas = np.outer(qs, r) <= rate
-    d = qs[:, None] * alphas[None, :] + (1.0 - qs[:, None]) * beta
-    return float(d[feas].min())
-
-
-@pytest.mark.parametrize("seed", sorted(BINARY_ORACLE_LINES))
-def test_blocked_brute_force_equals_whole_grid(seed):
-    rng = np.random.default_rng(seed)  # the suite's draws
-    for _ in range(5):
-        beta = float(rng.uniform(0.05, 0.5))
-        rate = float(rng.uniform(0.0, 1.0))
-        assert _brute_wz_distortion(beta, rate) == whole_grid_wz_distortion(beta, rate)
-    # rate 0 leaves only the q = 0 row; a rate above every r(alpha) admits the
-    # whole grid, so the minimum is the q = 1, alpha = 0 corner
-    assert _brute_wz_distortion(0.3, 0.0) == whole_grid_wz_distortion(0.3, 0.0) == 0.3
-    assert _brute_wz_distortion(0.3, 2.0) == whole_grid_wz_distortion(0.3, 2.0) == 0.0
 
 
 @pytest.mark.parametrize("seed", sorted(DMC_LINES))

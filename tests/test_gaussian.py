@@ -24,12 +24,11 @@ from wzbc.gaussian import (
     gaussian_trivial_converse,
     gaussian_uncoded,
     gaussian_wz_distortion,
-    lds_cloud_envelope,
     lds_parametric_cloud,
     separate_coding_labels,
     _lds_cloud_blocks,
+    _lds_curve_witness,
 )
-from wzbc.optimize import lower_envelope_indices
 
 P_A = GaussianProblem(power=1, noise_vars=(1, 0.5), sideinfo_vars=(0.8, 0.4), kappa=1)
 P_B = GaussianProblem(power=1, noise_vars=(2, 0.5), sideinfo_vars=(0.3, 0.9), kappa=1)
@@ -539,37 +538,6 @@ def test_scalar_entry_points_equal_the_sweep_bitwise(kappa, common):
                 assert (D[assign.c].hex(), D[assign.r].hex()) == (cell[0].hex(), cell[1].hex())
 
 
-def envelope_corpus():
-    """(problem, nu_count, gamma_count): the four gaussian-oracle instances at
-    its 400 x 400 grid and at 401 x 401, whose gamma grid lacks 0, then seeded
-    problems at kappa 1, 1/2, 2 and 3/7 on smaller grids with and without 0."""
-    suite = np.random.default_rng(42)  # the seeded third instance of --seed 42
-    third = GaussianProblem(float(suite.uniform(0.5, 4)), tuple(suite.uniform(0.25, 4, 2)),
-                            tuple(suite.uniform(0.1, 1, 2)), 1)
-    oracle = [P_A, P_B, third, GaussianProblem(1, (1, 0.5), (0.8, 0.4), Fraction(1, 2))]
-    cases = [(p, 400, count) for p in oracle for count in (400, 401)]
-    rng = np.random.default_rng(2025)
-    for kappa in (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3, 7)):
-        for grid in ((120, 401), (161, 121), (97, 200)):
-            base = random_problem(rng)
-            problem = GaussianProblem(base.power, base.noise_vars, base.sideinfo_vars, kappa)
-            cases.append((problem, *grid))
-    return cases
-
-
-def test_cloud_envelope_equals_envelope_of_materialized_cloud():
-    corner = 0
-    for problem, nu_count, gamma_count in envelope_corpus():
-        for assign in (choose_refinement_receiver(problem), RoleAssignment(2, 1)):
-            cloud = lds_parametric_cloud(problem, assign, nu_count, gamma_count)
-            keep = lower_envelope_indices(cloud["d_c"], cloud["d_r"])
-            d_c, d_r = lds_cloud_envelope(problem, assign, nu_count, gamma_count)
-            assert d_c.tolist() == cloud["d_c"][keep].tolist()
-            assert d_r.tolist() == cloud["d_r"][keep].tolist()
-            corner += not np.any(np.linspace(-1.0, 2.0, gamma_count) == 0.0)
-    assert corner > 0  # the appended nu = 0 corner takes part
-
-
 def test_closed_forms_accept_arrays_bitwise():
     # an array call, a scalar loop and the Python float formula agree bit for
     # bit, flat continuation included
@@ -677,19 +645,6 @@ def reference_lds_curve(problem, assign, D_c):
     return N_r / (1.0 + N_r * phi) * M ** -kappa
 
 
-def lds_curve_witness(problem, assign, D_c):
-    """GaussianLdsParams attaining the exact layered curve at D_c: gamma = 1 and
-    nu = 1 / min(A, B) when W_c <= W_r, gamma = 0 and nu = 1 - (min(M, B) - 1) W_r / P
-    otherwise (nu clipped to [0, 1] against rounding at the ends)."""
-    W_c, W_r = problem.noise_vars[assign.c], problem.noise_vars[assign.r]
-    _, A, B, M = _lds_curve_targets(problem, assign, D_c)
-    if W_c <= W_r:
-        return GaussianLdsParams(min(1.0, 1.0 / min(A, B)), 1.0)
-    return GaussianLdsParams(
-        min(1.0, max(0.0, 1.0 - (min(M, B) - 1.0) * W_r / problem.power)), 0.0
-    )
-
-
 # (P, W, N): common receiver 1 or 2, W_c above, below and equal to W_r at every kappa
 LDS_CURVE_BASES = [
     (1.0, (1.0, 0.5), (0.8, 0.4)),
@@ -752,13 +707,52 @@ def test_lds_curve_points_have_witnesses(kappa):
     # (nu, gamma) through the channel rates and the distortion map
     for problem, assign, d_c in lds_curve_problems(kappa):
         d_r = gaussian_lds_curve(problem, assign, d_c)
-        for dc, dr in zip(d_c.tolist(), d_r.tolist()):
-            params = lds_curve_witness(problem, assign, dc)
-            rates = gaussian_lds_channel_rates(problem, assign, params)
+        nus, gammas = _lds_curve_witness(problem, assign, d_c)
+        for dc, dr, nu, gamma in zip(d_c.tolist(), d_r.tolist(), nus.tolist(), gammas.tolist()):
+            rates = gaussian_lds_channel_rates(problem, assign, GaussianLdsParams(nu, gamma))
             assert not rates.clamped
             point = gaussian_lds_distortions(problem, assign, rates)
             assert point.D[assign.c] == pytest.approx(dc, abs=1e-12)
             assert point.D[assign.r] == pytest.approx(dr, abs=1e-12)
+
+
+@pytest.mark.parametrize("kappa", ["1", "1/2", "2", "3/7"])
+def test_reversed_assignment_never_lies_below_the_chosen_curve(kappa):
+    # the paper's rule sends the refinement layer to the receiver of better
+    # combined quality: read in the chosen coordinates, no cell of the
+    # reversed assignment's sweep lies left of the chosen curve's domain or
+    # below the curve
+    for P, W, N in LDS_CURVE_BASES:
+        problem = GaussianProblem(P, W, N, kappa)
+        assign = choose_refinement_receiver(problem)
+        reverse = RoleAssignment(assign.refinement_receiver, assign.common_receiver)
+        cloud = lds_parametric_cloud(problem, reverse, 200, 200)
+        d_c, d_r = cloud["d_r"], cloud["d_c"]
+        assert np.min(d_c) >= gaussian_cds(problem).D[assign.c] - 1e-12 * N[assign.c]
+        assert np.max(gaussian_lds_curve(problem, assign, d_c) - d_r) <= 1e-12 * N[assign.r]
+
+
+@pytest.mark.parametrize("kappa", ["1/2", "2", "3/7", "5/3"])
+def test_lds_curve_at_or_below_scheme3_and_separate_samples(kappa):
+    # the layered curve is at or below every in-domain sample of the
+    # reversed-decoding curve and, when the bad receiver is c, of the
+    # separate-coding sweep
+    separate = 0
+    for P, W, N in LDS_CURVE_BASES:
+        problem = GaussianProblem(P, W, N, kappa)
+        assign = choose_refinement_receiver(problem)
+        curves = [gaussian_scheme3_curve(problem, assign, 401)]
+        if separate_coding_labels(problem)[0] == assign.c:
+            sweep = gaussian_separate_sweep(problem, 401)
+            curves.append((sweep["d_b"], sweep["d_g"]))
+            separate += 1
+        lo = gaussian_cds(problem).D[assign.c]
+        for d_c, d_r in curves:
+            inside = (lo <= d_c) & (d_c <= N[assign.c])
+            assert inside.any()
+            excess = gaussian_lds_curve(problem, assign, d_c[inside]) - d_r[inside]
+            assert np.max(excess) <= 1e-12 * N[assign.r]
+    assert separate > 0
 
 
 @pytest.mark.parametrize("kappa", LDS_CURVE_KAPPAS)

@@ -39,7 +39,8 @@ def traced_peak(run) -> int:
 
 
 def test_gaussian_oracle_suite_holds_one_block_and_the_staircase():
-    # four 400 x 400 clouds, each folded block by block into its staircase
+    # four 400 x 400 sweeps, each checked against the curve one block at a
+    # time, so the suite holds one block and the curve's temporaries for it
     def run():
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["validate", "--suite", "gaussian-oracle", "--seed", "42"]) == 0

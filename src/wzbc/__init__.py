@@ -16,7 +16,6 @@ from .core import (
     RateTriple,
     RoleAssignment,
     TradeoffCurve,
-    UnsupportedReceiverCount,
     load_problem,
     problem_from_dict,
     validate_problem,

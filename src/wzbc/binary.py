@@ -76,7 +76,6 @@ from .core import (
     bad_good_labels,
     parse_kappa,
     require_bandwidth_match,
-    require_two_receivers,
     require_within_bounds,
 )
 from .infotheory import binary_convolution, binary_entropy, wz_rate_kernel
@@ -271,7 +270,7 @@ def binary_cds_region(problem: BinaryProblem, resolution: int = 41) -> TradeoffC
         )
         for i in keep
     )
-    return TradeoffCurve(points=points, envelope_applied=True)
+    return TradeoffCurve(points=points)
 
 
 def binary_lds_source_rates(
@@ -509,7 +508,6 @@ def binary_lds_region(problem: BinaryProblem, resolution: int = 41) -> TradeoffC
     merged; a parameter tuple is kept when its source rate triple is
     componentwise at most its channel rate triple.
     """
-    require_two_receivers(problem)
     vertices = []
     for assign in (RoleAssignment(1, 2), RoleAssignment(2, 1)):
         vertices.extend(_binary_lds_vertices(problem, assign, resolution))
@@ -524,7 +522,6 @@ def binary_lds_cds_pinned_points(problem: BinaryProblem, resolution: int = 41):
     minimization), for comparison against the single-description sweep.
     Returns flat arrays (d1, d2, q, alpha).
     """
-    require_two_receivers(problem)
     qs, alphas = _grids(resolution)
     beta_1, beta_2 = problem.sideinfo_crossovers
     ch = BinaryChannelParams(0.5, 0.0, TChoice.T_EQUALS_UC)
@@ -550,7 +547,6 @@ def separate_coding_labels(problem: BinaryProblem) -> tuple:
     """0-based (bad, good) receiver indices: the bad receiver has the larger
     channel crossover; equal crossovers label the receiver with smaller
     side-information crossover as good."""
-    require_two_receivers(problem)
     return bad_good_labels(problem.crossovers, problem.sideinfo_crossovers)
 
 
@@ -585,7 +581,6 @@ def binary_separate_region(problem: BinaryProblem, resolution: int = 41) -> Trad
     H2(p_g)), with the cumulative source rate picked by the side-information
     order.  Either degradation order of the two descriptions is allowed.
     """
-    require_two_receivers(problem)
     b, g = separate_coding_labels(problem)
     p_b, p_g = problem.crossovers[b], problem.crossovers[g]
     beta_b, beta_g = problem.sideinfo_crossovers[b], problem.sideinfo_crossovers[g]
@@ -633,4 +628,4 @@ def binary_separate_region(problem: BinaryProblem, resolution: int = 41) -> Trad
             "alpha_g": float(alphas[ag_i[i]]),
         }
         points.append(DistortionPoint(D=(x[i], y[i]), scheme="separate", params=params))
-    return TradeoffCurve(points=tuple(points), envelope_applied=True)
+    return TradeoffCurve(points=tuple(points))

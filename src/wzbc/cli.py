@@ -169,10 +169,6 @@ def cmd_compare(args) -> int:
     if args.resolution < 3:
         raise UsageError(f"--resolution must be at least 3, got {args.resolution}")
     problem = load_problem(args.problem)
-    if problem.receivers != 2:
-        raise UsageError(
-            f"compare requires exactly 2 receivers, problem has {problem.receivers}"
-        )
     if args.kappa_override is not None:
         problem = dataclasses.replace(problem, kappa=args.kappa_override)
     # a repeated name is computed and written once

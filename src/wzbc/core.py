@@ -30,10 +30,6 @@ class InvalidProblem(ValueError):
     """A problem definition violates one of its invariants."""
 
 
-class UnsupportedReceiverCount(ValueError):
-    """A layered-scheme operation was called on a problem without exactly two receivers."""
-
-
 class BoundsViolation(AssertionError):
     """A scheme produced a distortion outside [0, N_k] (Gaussian) or [0, beta_k] (binary)."""
 
@@ -73,10 +69,10 @@ def _numbers(name: str, values) -> tuple:
 
 def _set_receiver_fields(problem, channel: str, sideinfo: str) -> None:
     """Convert two per-receiver fields to tuples of floats of one common
-    length, at least two."""
+    length, exactly two."""
     first, second = (_numbers(name, getattr(problem, name)) for name in (channel, sideinfo))
-    if len(first) < 2:
-        raise InvalidProblem(f"need at least two receivers ({channel}={first})")
+    if len(first) != 2:
+        raise InvalidProblem(f"need exactly 2 receivers ({channel}={first})")
     if len(first) != len(second):
         raise InvalidProblem(
             f"{channel} and {sideinfo} must have the same length "
@@ -113,7 +109,7 @@ class GaussianProblem:
 
     Construction, also through ``dataclasses.replace``, checks every
     invariant: P and every W_k positive and finite, 0 < N_k <= 1, kappa > 0
-    with a finite, nonzero float value, and at least two receivers.  The
+    with a finite, nonzero float value, and exactly two receivers.  The
     first violation raises InvalidProblem naming the field and its value.
     """
 
@@ -139,10 +135,6 @@ class GaussianProblem:
                     f"side-information MMSE must lie in (0, 1] (sideinfo_vars[{k}]={n})"
                 )
 
-    @property
-    def receivers(self) -> int:
-        return len(self.noise_vars)
-
 
 @dataclass(frozen=True)
 class BinaryProblem:
@@ -154,7 +146,7 @@ class BinaryProblem:
 
     Construction, also through ``dataclasses.replace``, checks every
     invariant: p_k and beta_k in [0, 1/2], kappa > 0 with a finite, nonzero
-    float value, and at least two receivers.  The first violation raises
+    float value, and exactly two receivers.  The first violation raises
     InvalidProblem naming the field and its value.
     """
 
@@ -171,10 +163,6 @@ class BinaryProblem:
                     why = ("must be nonnegative" if p < 0 else "exceeds 1/2" if p > 0.5
                            else "must lie in [0, 1/2]")
                     raise InvalidProblem(f"crossover {why} ({name}[{k}]={p})")
-
-    @property
-    def receivers(self) -> int:
-        return len(self.crossovers)
 
 
 Problem = Union[GaussianProblem, BinaryProblem]
@@ -196,14 +184,6 @@ def require_bandwidth_match(problem: Problem, what: str) -> None:
     if problem.kappa != 1:
         raise ValueError(
             f"{what} requires bandwidth match (kappa = 1), got kappa = {problem.kappa}"
-        )
-
-
-def require_two_receivers(problem: Problem) -> None:
-    """Layered schemes are defined for exactly two receivers."""
-    if problem.receivers != 2:
-        raise UnsupportedReceiverCount(
-            f"layered schemes require exactly 2 receivers, problem has {problem.receivers}"
         )
 
 
@@ -324,12 +304,10 @@ def require_within_bounds(problem: Problem, D, slack: float = 1e-12) -> None:
 
 @dataclass(frozen=True)
 class TradeoffCurve:
-    """Ordered set of distortion points sorted by D1.  When
-    ``envelope_applied`` the points are the vertices of the lower convex
-    envelope and are strictly decreasing in D2."""
+    """The vertices of a lower convex envelope of distortion points, sorted
+    by D1 and strictly decreasing in D2."""
 
     points: tuple
-    envelope_applied: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))

@@ -26,7 +26,6 @@ from .core import (
     RoleAssignment,
     bad_good_labels,
     require_bandwidth_match,
-    require_two_receivers,
     require_within_bounds,
 )
 
@@ -95,7 +94,6 @@ def choose_refinement_receiver(problem: GaussianProblem) -> RoleAssignment:
     The assignment satisfies quality_c <= quality_r; for kappa = 1 this is the
     product rule W_c N_c >= W_r N_r.  Ties assign receiver 1 as c.
     """
-    require_two_receivers(problem)
     P = problem.power
     kappa = float(problem.kappa)
     q1 = _quality(P, problem.noise_vars[0], problem.sideinfo_vars[0], kappa)
@@ -153,7 +151,6 @@ def gaussian_lds_channel_rates(
     Negative values are clamped to 0 with the clamped flag set.  This is a
     one-cell call of the rate kernel of the (nu, gamma) sweep.
     """
-    require_two_receivers(problem)
     P = problem.power
     W_c, W_r = problem.noise_vars[assign.c], problem.noise_vars[assign.r]
     nu, gamma = params.nu, params.gamma
@@ -187,7 +184,6 @@ def gaussian_lds_distortions(
     phi = min{(2^(2 kappa R_cc) - 1)/N_c, (2^(2 kappa R_cr) - 1)/N_r},
     D_c = N_c / (1 + N_c phi), D_r = N_r / (1 + N_r phi) * 2^(-2 kappa R_rr).
     """
-    require_two_receivers(problem)
     if min(rates.as_tuple()) < 0:
         raise ValueError(f"rates must be nonnegative, got {rates.as_tuple()}")
     d_c, d_r = _lds_distortions(problem, assign, *np.array(rates.as_tuple())[:, None])
@@ -206,7 +202,6 @@ def gaussian_lds_distortions(
 
 def gaussian_lds_dc_range(problem: GaussianProblem, assign: RoleAssignment) -> tuple:
     """Domain [D_c_min, D_c_max] of the bandwidth-matched layered closed form."""
-    require_two_receivers(problem)
     require_bandwidth_match(problem, "closed form")
     _check_assignment(problem, assign)
     P = problem.power
@@ -315,7 +310,6 @@ def gaussian_lds_curve(problem: GaussianProblem, assign: RoleAssignment, D_c):
     D_c is a scalar (a float is returned) or an array, on the domain
     [D_c of ``gaussian_cds``, N_c]; any element outside it raises ValueError.
     """
-    require_two_receivers(problem)
     P = problem.power
     kappa = float(problem.kappa)
     W_r = problem.noise_vars[assign.r]
@@ -350,7 +344,6 @@ def gaussian_lds_dc_of_dr(
     coding comparison is naturally parameterized by D_r.  Valid for
     D_r in [N_r W_r / (P + W_r), N_c N_r W_c / (N_c W_c + P N_r)].
     """
-    require_two_receivers(problem)
     require_bandwidth_match(problem, "closed form")
     _check_assignment(problem, assign)
     P = problem.power
@@ -371,7 +364,6 @@ def separate_coding_labels(problem: GaussianProblem) -> tuple:
     The bad receiver is the one with the larger channel noise variance; equal
     noise variances fall back to labeling the receiver with smaller N as good.
     """
-    require_two_receivers(problem)
     return bad_good_labels(problem.noise_vars, problem.sideinfo_vars)
 
 
@@ -383,7 +375,6 @@ def gaussian_separate_closed_form(problem: GaussianProblem, D_b):
     information (N_g <= N_b), otherwise the max of the two constraints.
     D_b is a scalar or an array, as for ``gaussian_lds_closed_form``.
     """
-    require_two_receivers(problem)
     require_bandwidth_match(problem, "closed form")
     b, g = separate_coding_labels(problem)
     P = problem.power
@@ -423,7 +414,6 @@ def gaussian_scheme3_rates(
     only affects R_cc.  This is a one-cell call of the kernel of
     ``gaussian_scheme3_curve``.
     """
-    require_two_receivers(problem)
     if not 0.0 <= nu <= 1.0:
         raise ValueError(f"nu must lie in [0, 1], got {nu}")
     return RateTriple(*(float(r[0]) for r in _scheme3_rates(problem, assign, np.array([nu]))))
@@ -437,7 +427,6 @@ def gaussian_scheme3_curve(problem: GaussianProblem, assign: RoleAssignment, cou
     ``gaussian_lds_distortions(gaussian_scheme3_rates(nu))`` value; the
     curve is bounds-checked once.
     """
-    require_two_receivers(problem)
     rates = _scheme3_rates(problem, assign, np.linspace(0.0, 1.0, count))
     d_c, d_r = _lds_distortions(problem, assign, *rates)
     require_within_bounds(problem, (d_c, d_r) if assign.c == 0 else (d_r, d_c))
@@ -452,7 +441,6 @@ def gaussian_scheme3_closed_form(problem: GaussianProblem, assign: RoleAssignmen
     for D_c in [N_c W_c / (P + W_c), N_c].  D_c is a scalar or an array, as
     for ``gaussian_lds_closed_form``.
     """
-    require_two_receivers(problem)
     require_bandwidth_match(problem, "closed form")
     P = problem.power
     W_c, W_r = problem.noise_vars[assign.c], problem.noise_vars[assign.r]
@@ -485,7 +473,6 @@ def _lds_cloud_blocks(problem, assign, nu_count, gamma_count, gamma_lo=-1.0, gam
     from the same elementwise expression on the same floats as on a full
     meshgrid.
     """
-    require_two_receivers(problem)
     P = problem.power
     kappa = float(problem.kappa)
     W_c, W_r = problem.noise_vars[assign.c], problem.noise_vars[assign.r]
@@ -560,7 +547,6 @@ def gaussian_separate_sweep(problem: GaussianProblem, count: int = 400):
     smallest D_g, at most N_g.  Returns flat arrays {d_b, d_g, nu} in
     receiver-label order (bad first).
     """
-    require_two_receivers(problem)
     b, g = separate_coding_labels(problem)
     P = problem.power
     kappa = float(problem.kappa)

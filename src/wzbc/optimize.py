@@ -110,7 +110,7 @@ def lower_convex_envelope(points) -> TradeoffCurve:
         x = np.array([p.D[0] for p in pts])
         y = np.array([p.D[1] for p in pts])
         keep = lower_envelope_indices(x, y)
-        return TradeoffCurve(points=tuple(pts[i] for i in keep), envelope_applied=True)
+        return TradeoffCurve(points=tuple(pts[i] for i in keep))
     arr = np.asarray(pts, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected (n, 2) coordinates, got shape {arr.shape}")
@@ -118,4 +118,4 @@ def lower_convex_envelope(points) -> TradeoffCurve:
     made = tuple(
         DistortionPoint(D=(arr[i, 0], arr[i, 1]), scheme="envelope", params={}) for i in keep
     )
-    return TradeoffCurve(points=made, envelope_applied=True)
+    return TradeoffCurve(points=made)

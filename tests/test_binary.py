@@ -1016,13 +1016,3 @@ def test_layer_distortion_formula():
     assert layer_distortion(1.0, 0.05, 0.2) == pytest.approx(0.05)
     assert layer_distortion(0.5, 0.1, 0.2) == pytest.approx(0.15)
 
-
-def test_cds_accepts_more_than_two_receivers():
-    # feasibility constrains every receiver; the curve is emitted for the first two
-    problem = BinaryProblem((0.05, 0.1, 0.2), (0.2, 0.1, 0.3), kappa=1)
-    d1, d2, q, a = binary_cds_points(problem, 21)
-    assert len(d1) > 0
-    caps = [1 - binary_entropy(p) for p in problem.crossovers]
-    for qi, ai in zip(q, a):
-        for p, beta, cap in zip(problem.crossovers, problem.sideinfo_crossovers, caps):
-            assert qi * wz_rate_kernel(ai, beta) <= cap + 1e-9

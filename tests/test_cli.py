@@ -814,6 +814,28 @@ def test_compare_rejects_three_receivers(tmp_path, capsys):
     assert "exactly 2 receivers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data, scheme",
+    [
+        ({"kind": "gaussian", "P": 1.0, "W": [1.0, 0.5, 0.2], "N": [0.8, 0.4, 0.3],
+          "kappa": "1"}, "uncoded"),
+        ({"kind": "gaussian", "P": 1.0, "W": [1.0, 0.5, 0.2], "N": [0.8, 0.4, 0.3],
+          "kappa": "1"}, "cds"),
+        ({"kind": "binary", "p": [0.05, 0.1, 0.2], "beta": [0.2, 0.1, 0.3]}, "uncoded"),
+    ],
+    ids=["gaussian-uncoded", "gaussian-cds", "binary-uncoded"],
+)
+def test_point_rejects_three_receivers(tmp_path, capsys, data, scheme):
+    # a point for receivers 1 and 2 alone would silently drop receiver 3
+    path = tmp_path / "p3.json"
+    path.write_text(json.dumps(data))
+    assert run_point(str(path), scheme, []) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: need exactly 2 receivers (")
+    assert captured.err.count("\n") == 1
+
+
 def test_compare_binary_under_python_O(tmp_path, binary_file):
     # the output bounds are checked by explicit raises, which -O keeps
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -1,10 +1,13 @@
+import ast
 import dataclasses
 import json
+import pathlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import wzbc
 from wzbc.core import (
     BinaryProblem,
     BoundsViolation,
@@ -13,11 +16,9 @@ from wzbc.core import (
     InvalidProblem,
     RateTriple,
     RoleAssignment,
-    UnsupportedReceiverCount,
     load_problem,
     parse_kappa,
     problem_from_dict,
-    require_two_receivers,
     require_within_bounds,
     validate_problem,
 )
@@ -150,10 +151,23 @@ def test_role_assignment_invariants():
         RoleAssignment(common_receiver=0, refinement_receiver=2)
 
 
-def test_layered_ops_reject_more_receivers():
-    p = GaussianProblem(power=1, noise_vars=[1, 0.5, 2], sideinfo_vars=[0.8, 0.4, 0.5])
-    with pytest.raises(UnsupportedReceiverCount):
-        require_two_receivers(p)
+def test_problems_reject_any_receiver_count_but_two():
+    gaussian = GaussianProblem(power=1, noise_vars=[1, 0.5], sideinfo_vars=[0.8, 0.4])
+    binary = BinaryProblem(crossovers=[0.05, 0.1], sideinfo_crossovers=[0.2, 0.1])
+    for count in (1, 3):
+        W, N = [1, 0.5, 2][:count], [0.8, 0.4, 0.5][:count]
+        p, beta = [0.05, 0.1, 0.2][:count], [0.2, 0.1, 0.3][:count]
+        builds = [
+            lambda: GaussianProblem(power=1, noise_vars=W, sideinfo_vars=N),
+            lambda: BinaryProblem(crossovers=p, sideinfo_crossovers=beta),
+            lambda: problem_from_dict({"kind": "gaussian", "P": 1, "W": W, "N": N}),
+            lambda: problem_from_dict({"kind": "binary", "p": p, "beta": beta}),
+            lambda: dataclasses.replace(gaussian, noise_vars=W, sideinfo_vars=N),
+            lambda: dataclasses.replace(binary, crossovers=p, sideinfo_crossovers=beta),
+        ]
+        for build in builds:
+            with pytest.raises(InvalidProblem, match="exactly 2 receivers"):
+                build()
 
 
 def test_rate_triple_clamp():
@@ -202,3 +216,13 @@ def test_problem_json_round_trip(tmp_path):
         problem_from_dict({"kind": "gaussian", "P": 1, "W": [1, 1]})
     with pytest.raises(InvalidProblem, match="must be a JSON object, got list"):
         problem_from_dict([1, 2])
+
+
+def test_library_code_has_no_assert():
+    # python -O strips assert statements, so a runtime invariant must be an explicit raise
+    modules = sorted(pathlib.Path(wzbc.__file__).parent.glob("*.py"))
+    assert len(modules) > 1
+    for module in modules:
+        tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{module.name}: assert at lines {lines}"

@@ -4,6 +4,13 @@ Relabelling: swapping receivers 1 and 2 in the problem file gives the same
 rows with the columns swapped, byte for byte, for every scheme.  The problems
 have no exact ties between the receivers, which would let a tie-break pick the
 other receiver.
+
+Scaling: multiplying P and every W_k by one constant leaves every SNR
+unchanged, so the rows agree within 1e-13 relative (P/W rounds, so exact
+equality is not expected).
+
+Kappa override: ``--kappa-override`` equal to the file's kappa, in any
+spelling of the same rational, gives the same bytes.
 """
 
 import json
@@ -53,7 +60,7 @@ def swapped(problem):
     return {k: v[::-1] if isinstance(v, list) else v for k, v in problem.items()}
 
 
-def compare_csvs(tmp_path, name, problem, schemes, resolution):
+def compare_csvs(tmp_path, name, problem, schemes, resolution, *extra):
     """{file name: data lines} of one in-process compare run."""
     directory = tmp_path / name
     directory.mkdir()
@@ -61,7 +68,7 @@ def compare_csvs(tmp_path, name, problem, schemes, resolution):
     path.write_text(json.dumps(problem))
     out = directory / "out"
     assert main(["compare", "--problem", str(path), "--schemes", schemes,
-                 "--resolution", str(resolution), "--out", str(out)]) == 0
+                 "--resolution", str(resolution), "--out", str(out), *extra]) == 0
     return {
         csv.name: [line for line in csv.read_text().splitlines() if not line.startswith("#")]
         for csv in sorted(out.glob("*.csv"))
@@ -88,3 +95,37 @@ def test_gaussian_relabelling_swaps_the_columns(tmp_path, index, kappa):
 @pytest.mark.parametrize("index", range(7))
 def test_binary_relabelling_swaps_the_columns(tmp_path, index):
     assert_relabelled(tmp_path, binary_problems()[index], BINARY_SCHEMES, 21)
+
+
+@pytest.mark.parametrize("kappa", ["1", "1/2", "2"])
+@pytest.mark.parametrize("index", range(8))
+def test_gaussian_scaling_keeps_the_rows(tmp_path, index, kappa):
+    problem = dict(gaussian_problems()[index], kappa=kappa)
+    plain = compare_csvs(tmp_path, "plain", problem, GAUSSIAN_SCHEMES, 41)
+    assert "lds.csv" in plain
+    for c in (0.5, 2.0, 3.0):
+        scaled_problem = dict(problem, P=c * problem["P"], W=[c * w for w in problem["W"]])
+        scaled = compare_csvs(tmp_path, f"scaled-{c}", scaled_problem, GAUSSIAN_SCHEMES, 41)
+        assert plain.keys() == scaled.keys()
+        for name, lines in plain.items():
+            assert len(lines) == len(scaled[name]), (c, name)
+            rows = np.array([line.split(",") for line in lines], dtype=float)
+            scaled_rows = np.array([line.split(",") for line in scaled[name]], dtype=float)
+            assert np.all(np.abs(scaled_rows - rows) <= 1e-13 * np.abs(rows)), (c, name)
+
+
+@pytest.mark.parametrize(
+    "problem, schemes",
+    [(gaussian_problems()[0], GAUSSIAN_SCHEMES), (binary_problems()[0], BINARY_SCHEMES)],
+    ids=["gaussian", "binary"],
+)
+def test_kappa_override_equal_to_the_file_kappa_keeps_the_bytes(tmp_path, problem, schemes):
+    problem = dict(problem, kappa="1/2")
+    outputs = []
+    for name, extra in (("file", ()), ("override", ("--kappa-override", "1/2")),
+                        ("unreduced", ("--kappa-override", "2/4"))):
+        compare_csvs(tmp_path, name, problem, schemes, 21, *extra)
+        out = tmp_path / name / "out"
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert "lds.csv" in outputs[0]
+    assert outputs[0] == outputs[1] == outputs[2]

@@ -22,7 +22,6 @@ from wzbc.optimize import (
 def test_envelope_drops_point_above_chord():
     curve = lower_convex_envelope([(0.0, 1.0), (1.0, 0.0), (0.5, 0.6)])
     assert [(p.D[0], p.D[1]) for p in curve.points] == [(0.0, 1.0), (1.0, 0.0)]
-    assert curve.envelope_applied
 
 
 def test_envelope_collinear_keeps_endpoints_only():

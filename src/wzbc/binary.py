@@ -79,7 +79,7 @@ from .core import (
     require_within_bounds,
 )
 from .infotheory import binary_convolution, binary_entropy, wz_rate_kernel
-from .optimize import lower_convex_envelope, lower_envelope_indices
+from .optimize import lower_envelope_indices
 
 FEAS_TOL = 1e-12
 
@@ -261,16 +261,11 @@ def binary_cds_points(problem: BinaryProblem, resolution: int = 41):
 
 
 def binary_cds_region(problem: BinaryProblem, resolution: int = 41) -> TradeoffCurve:
-    """Tradeoff curve of the single-description scheme (envelope applied)."""
+    """Tradeoff curve of the single-description scheme (envelope applied), columns q, alpha."""
     d1, d2, q, alpha = binary_cds_points(problem, resolution)
     keep = lower_envelope_indices(d1, d2)
-    points = tuple(
-        DistortionPoint(
-            D=(d1[i], d2[i]), scheme="cds", params={"q": float(q[i]), "alpha": float(alpha[i])}
-        )
-        for i in keep
-    )
-    return TradeoffCurve(points=points)
+    D = np.column_stack((d1[keep], d2[keep]))
+    return TradeoffCurve(D, "cds", {"q": q[keep], "alpha": alpha[keep]})
 
 
 def binary_lds_source_rates(
@@ -460,45 +455,36 @@ def _lds_refinement_search(problem, assign, resolution, rates):
 
 
 def _binary_lds_vertices(problem, assign, resolution):
-    """Envelope vertices (receiver coordinates) contributed by one role assignment.
-
-    The zero-rate corner comes first, then the vertices of the refinement
-    search over the unflagged channel tuples.
-    """
+    """Envelope vertices of one role assignment as (D, params): receiver-order
+    (m, 2) distortions and an m-long column per parameter, assign as (m, 2)
+    rows of 1-based (common, refinement) receivers.  The zero-rate corner,
+    feasible for every channel tuple, comes first, with NaN gammas and an
+    empty t; then the refinement search over the unflagged channel tuples."""
     qs, alphas = _grids(resolution)
-    roles = (assign.common_receiver, assign.refinement_receiver)
-    corner = [None, None]
-    corner[assign.c] = problem.sideinfo_crossovers[assign.c]
-    corner[assign.r] = problem.sideinfo_crossovers[assign.r]
-    vertices = [
-        # zero-rate corner: the all-q=0 tuple is feasible for every channel tuple
-        DistortionPoint(
-            D=tuple(corner),
-            scheme="lds",
-            params={"assign": roles, "q_c": 0.0, "alpha_c": 0.0, "q_r": 0.0, "alpha_r": 0.0},
-        )
-    ]
     xor, gamma_c, gamma_r, rates, clamped = _lds_channel_table(
         problem.crossovers[assign.c], problem.crossovers[assign.r], problem.kappa, resolution
     )
     # a materially negative common-layer bound admits no nonnegative source
     # rate, so a flagged tuple is infeasible
-    tuples = np.nonzero(~clamped)[0]
-    D, idx, q_r = _lds_refinement_search(problem, assign, resolution, rates[tuples])
-    for (x, y), (row, qc, ac, ar), qr in zip(D.T.tolist(), idx.tolist(), q_r.tolist()):
-        tup = tuples[row]
-        params = {
-            "assign": roles,
-            "t": (TChoice.T_EQUALS_UC_XOR_UR if xor[tup] else TChoice.T_EQUALS_UC).value,
-            "gamma_c": float(gamma_c[tup]),
-            "gamma_r": float(gamma_r[tup]),
-            "q_c": float(qs[qc]),
-            "alpha_c": float(alphas[ac]),
-            "q_r": qr,
-            "alpha_r": float(alphas[ar]),
-        }
-        vertices.append(DistortionPoint(D=(x, y), scheme="lds", params=params))
-    return vertices
+    tuples = np.flatnonzero(~clamped)
+    d, idx, q_r = _lds_refinement_search(problem, assign, resolution, rates[tuples])
+    tup = tuples[idx[:, 0]]
+    qc, ac, ar = idx[:, 1:].T
+    roles = (assign.common_receiver, assign.refinement_receiver)
+    t = np.where(xor[tup], TChoice.T_EQUALS_UC_XOR_UR.value, TChoice.T_EQUALS_UC.value)
+    # parameter -> (its value at the zero-rate corner, its search column)
+    columns = {
+        "assign": (roles, np.tile(roles, (tup.size, 1))),
+        "t": ("", t),
+        "gamma_c": (np.nan, gamma_c[tup]),
+        "gamma_r": (np.nan, gamma_r[tup]),
+        "q_c": (0.0, qs[qc]),
+        "alpha_c": (0.0, alphas[ac]),
+        "q_r": (0.0, q_r),
+        "alpha_r": (0.0, alphas[ar]),
+    }
+    params = {k: np.concatenate(([corner], column)) for k, (corner, column) in columns.items()}
+    return np.concatenate(([problem.sideinfo_crossovers], d.T)), params
 
 
 def binary_lds_region(problem: BinaryProblem, resolution: int = 41) -> TradeoffCurve:
@@ -506,12 +492,14 @@ def binary_lds_region(problem: BinaryProblem, resolution: int = 41) -> TradeoffC
 
     Both role assignments and both auxiliary-variable choices are swept and
     merged; a parameter tuple is kept when its source rate triple is
-    componentwise at most its channel rate triple.
+    componentwise at most its channel rate triple.  Columns: ``_binary_lds_vertices``.
     """
-    vertices = []
-    for assign in (RoleAssignment(1, 2), RoleAssignment(2, 1)):
-        vertices.extend(_binary_lds_vertices(problem, assign, resolution))
-    return lower_convex_envelope(vertices)
+    assigns = (RoleAssignment(1, 2), RoleAssignment(2, 1))
+    parts = [_binary_lds_vertices(problem, a, resolution) for a in assigns]
+    D = np.concatenate([D for D, _ in parts])
+    keep = lower_envelope_indices(D[:, 0], D[:, 1])
+    params = {k: np.concatenate([p[k] for _, p in parts])[keep] for k in parts[0][1]}
+    return TradeoffCurve(D[keep], "lds", params)
 
 
 def binary_lds_cds_pinned_points(problem: BinaryProblem, resolution: int = 41):
@@ -580,6 +568,7 @@ def binary_separate_region(problem: BinaryProblem, resolution: int = 41) -> Trad
     channel rate kappa * (1 - H2(theta * p_b)) + kappa * (H2(theta * p_g) -
     H2(p_g)), with the cumulative source rate picked by the side-information
     order.  Either degradation order of the two descriptions is allowed.
+    The columns are theta, q_b, alpha_b, q_g and alpha_g.
     """
     b, g = separate_coding_labels(problem)
     p_b, p_g = problem.crossovers[b], problem.crossovers[g]
@@ -616,16 +605,20 @@ def binary_separate_region(problem: BinaryProblem, resolution: int = 41) -> Trad
     ag_i, q_g = _last_layer(budgets, q_b, ab_i, False, gain)
     d_b = layer_distortion(q_b, alphas[ab_i], beta_b)
     d_g = layer_distortion(q_g, alphas[ag_i], beta_g)
-    x, y = (d_b, d_g) if b == 0 else (d_g, d_b)
-    require_within_bounds(problem, (x, y))
-    points = []
-    for i in lower_envelope_indices(x, y):
-        params = {
-            "theta": float(thetas[theta[i]]),
-            "q_b": float(qs[qb_i[i]]),
-            "alpha_b": float(alphas[ab_i[i]]),
-            "q_g": float(q_g[i]),
-            "alpha_g": float(alphas[ag_i[i]]),
-        }
-        points.append(DistortionPoint(D=(x[i], y[i]), scheme="separate", params=params))
-    return TradeoffCurve(points=tuple(points))
+    D = np.empty((cell.size, 2))
+    D[:, b], D[:, g] = d_b, d_g
+    require_within_bounds(problem, D.T)
+    keep = lower_envelope_indices(D[:, 0], D[:, 1])
+    params = dict(theta=thetas[theta], q_b=q_b, alpha_b=alphas[ab_i], q_g=q_g, alpha_g=alphas[ag_i])
+    return TradeoffCurve(D[keep], "separate", {k: v[keep] for k, v in params.items()})
+
+
+# compare's binary schemes, in the order of its usage error's list:
+# name -> (problem, resolution, extend_flat) -> TradeoffCurve
+SCHEMES = {
+    "converse": lambda problem, *_: TradeoffCurve(binary_trivial_converse(problem), "converse"),
+    "uncoded": lambda problem, *_: TradeoffCurve(binary_uncoded(problem).D, "uncoded"),
+    "cds": lambda problem, resolution, _: binary_cds_region(problem, resolution),
+    "lds": lambda problem, resolution, _: binary_lds_region(problem, resolution),
+    "separate": lambda problem, resolution, _: binary_separate_region(problem, resolution),
+}

@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -45,7 +44,7 @@ from .core import (
 from .dmc import binary_superposition_inputs, lds_rate_triple, scheme1_rate_triple
 from .infotheory import binary_convolution, wz_rate_kernel
 from .mcsim import SimConfig, simulate_uncoded_binary, simulate_uncoded_gaussian
-from .optimize import lower_envelope_indices
+from .optimize import lower_envelope_indices  # noqa: F401 -- bench/selftest.py patches it here
 
 class UsageError(Exception):
     pass
@@ -62,87 +61,16 @@ def _threads() -> int:
     return threads
 
 
-def _write_csv(path, scheme, params, rows):
-    # "%.17g" formats float(x), so numpy floats and Fractions print as floats
-    body = ("%.17g,%.17g\n" * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+def _write_csv(path, scheme, params, D):
+    # D is an (m, 2) float array; "%.17g" prints each value as format(float(x), ".17g")
+    body = ("%.17g,%.17g\n" * len(D)) % tuple(D.ravel().tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# scheme={scheme}, params={params}\n# columns=D1,D2\n")
         fh.write(body)
 
 
-def _receiver_xy(assign, d_c, d_r):
-    """(D1, D2) arrays of a curve given in (D_c, D_r) arrays."""
-    return (d_c, d_r) if assign.c == 0 else (d_r, d_c)
-
-
-def _receiver_rows(assign, d_c, d_r):
-    """Sorted (D1, D2) rows of a curve given in (D_c, D_r) arrays."""
-    d1, d2 = _receiver_xy(assign, d_c, d_r)
-    return sorted(zip(d1.tolist(), d2.tolist()))
-
-
-def _gaussian_lds(problem, resolution, extend_flat):
-    assign = gs.choose_refinement_receiver(problem)
-    if problem.kappa == 1:
-        dmin, dmax = gs.gaussian_lds_dc_range(problem, assign)
-        top = problem.sideinfo_vars[assign.c] if extend_flat else dmax
-        d_c = np.linspace(dmin, top, resolution)
-        d_r = gs.gaussian_lds_closed_form(problem, assign, d_c, extend_flat)
-        return _receiver_rows(assign, d_c, d_r)
-    top = problem.sideinfo_vars[assign.c]
-    for _ in range(2):
-        # the envelope ends at the first sample of minimal D_r (past the knee
-        # the curve is the constant floor), so the second pass spends every
-        # sample on D_c up to there
-        d_c = np.linspace(gs.gaussian_cds(problem).D[assign.c], top, resolution)
-        d_r = gs.gaussian_lds_curve(problem, assign, d_c)
-        top = d_c[np.argmin(d_r)]
-    x, y = _receiver_xy(assign, d_c, d_r)
-    keep = lower_envelope_indices(x, y)
-    return [(x[i], y[i]) for i in keep]
-
-
-def _gaussian_scheme3(problem, resolution, extend_flat):
-    assign = gs.choose_refinement_receiver(problem)
-    if problem.kappa == 1:
-        lo = problem.sideinfo_vars[assign.c] * problem.noise_vars[assign.c] / (
-            problem.power + problem.noise_vars[assign.c]
-        )
-        d_c = np.linspace(lo, problem.sideinfo_vars[assign.c], resolution)
-        d_r = gs.gaussian_scheme3_closed_form(problem, assign, d_c)
-        return _receiver_rows(assign, d_c, d_r)
-    return _receiver_rows(assign, *gs.gaussian_scheme3_curve(problem, assign, resolution))
-
-
-def _gaussian_separate(problem, resolution, extend_flat):
-    sweep = gs.gaussian_separate_sweep(problem, resolution)
-    b, _ = gs.separate_coding_labels(problem)
-    return sorted(
-        (db, dg) if b == 0 else (dg, db) for db, dg in zip(sweep["d_b"], sweep["d_g"])
-    )
-
-
-# compare's schemes per problem type, in the order of the usage error's list:
-# name -> (problem, resolution, extend_flat) -> rows of (D1, D2)
-COMPARE_SCHEMES = {
-    GaussianProblem: {
-        "converse": lambda problem, *_: [tuple(gs.gaussian_trivial_converse(problem))],
-        "uncoded": lambda problem, *_: [gs.gaussian_uncoded(problem).D],
-        "cds": lambda problem, *_: [gs.gaussian_cds(problem).D],
-        "lds": _gaussian_lds,
-        "separate": _gaussian_separate,
-        "scheme3": _gaussian_scheme3,
-    },
-    BinaryProblem: {
-        "converse": lambda problem, *_: [bn.binary_trivial_converse(problem)],
-        "uncoded": lambda problem, *_: [bn.binary_uncoded(problem).D],
-        "cds": lambda problem, res, _: [p.D for p in bn.binary_cds_region(problem, res).points],
-        "lds": lambda problem, res, _: [p.D for p in bn.binary_lds_region(problem, res).points],
-        "separate": lambda problem, res, _: [
-            p.D for p in bn.binary_separate_region(problem, res).points
-        ],
-    },
-}
+# compare's schemes per problem type: name -> (problem, resolution, extend_flat) -> TradeoffCurve
+COMPARE_SCHEMES = {GaussianProblem: gs.SCHEMES, BinaryProblem: bn.SCHEMES}
 
 
 def _emit_plot_script(out_dir, csvs):
@@ -190,13 +118,13 @@ def cmd_compare(args) -> int:
     csvs = []
     for scheme in schemes:
         try:
-            rows = known[scheme](problem, args.resolution, args.extend_flat)
-            require_within_bounds(problem, np.asarray(rows, dtype=float).reshape(-1, 2).T)
+            curve = known[scheme](problem, args.resolution, args.extend_flat)
+            require_within_bounds(problem, curve.D.T)
         except (ValueError, BoundsViolation, OverflowError) as exc:
             print(f"scheme {scheme} skipped: {exc}", file=sys.stderr)
             continue
         fname = f"{scheme}.csv"
-        _write_csv(os.path.join(args.out, fname), scheme, manifest, rows)
+        _write_csv(os.path.join(args.out, fname), scheme, manifest, curve.D)
         csvs.append((scheme, fname))
     if not csvs:
         raise UsageError("no scheme produced output")

@@ -302,21 +302,36 @@ def require_within_bounds(problem: Problem, D, slack: float = 1e-12) -> None:
             raise BoundsViolation(f"D{k + 1} = {bad!r} lies outside [0, {u!r}] (slack {slack:g})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TradeoffCurve:
-    """The vertices of a lower convex envelope of distortion points, sorted
-    by D1 and strictly decreasing in D2."""
+    """The (D1, D2) rows of one scheme's curve and each row's parameters.
 
-    points: tuple
+    D is an (m, 2) float array in receiver order, in the row order ``compare``
+    writes (one point is one row); params maps each parameter name to an
+    m-long array.  The rows are envelope vertices, sorted by D1 and strictly
+    decreasing in D2, only for the envelope schemes (binary cds, lds and
+    separate, Gaussian lds): Gaussian scheme3 and separate rows are every
+    sample, sorted by (D1, D2)."""
+
+    D: np.ndarray
+    scheme: str
+    params: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
+        object.__setattr__(self, "D", np.asarray(self.D, dtype=float).reshape(-1, 2))
 
     def d1(self):
-        return [p.D[0] for p in self.points]
+        return self.D[:, 0]
 
     def d2(self):
-        return [p.D[1] for p in self.points]
+        return self.D[:, 1]
+
+    @property
+    def points(self) -> tuple:
+        """One DistortionPoint per row, built on each access."""
+        columns = self.params.items()
+        return tuple(DistortionPoint(row, self.scheme, {k: v[i] for k, v in columns})
+                     for i, row in enumerate(self.D.tolist()))
 
 
 def problem_from_dict(data: Mapping) -> Problem:

@@ -24,10 +24,12 @@ from .core import (
     GaussianProblem,
     RateTriple,
     RoleAssignment,
+    TradeoffCurve,
     bad_good_labels,
     require_bandwidth_match,
     require_within_bounds,
 )
+from .optimize import lower_envelope_indices
 
 RANGE_GUARD = 1e-12  # floating-point slack on closed-interval domain checks
 
@@ -554,9 +556,11 @@ def gaussian_separate_sweep(problem: GaussianProblem, count: int = 400):
     N_b, N_g = problem.sideinfo_vars[b], problem.sideinfo_vars[g]
     nu = np.linspace(0.0, 1.0, count)
     nubar = 1.0 - nu
-    bad_rhs = (1.0 + nu * P / (nubar * P + W_b)) ** kappa
+    # a power that overflows to inf is the exact limit: its D = N / inf = 0
+    with np.errstate(over="ignore"):
+        bad_rhs = (1.0 + nu * P / (nubar * P + W_b)) ** kappa
+        good_rhs = bad_rhs * (1.0 + nubar * P / W_g) ** kappa
     d_b = N_b / bad_rhs
-    good_rhs = bad_rhs * (1.0 + nubar * P / W_g) ** kappa
     if N_g <= N_b:
         d_g = N_b * N_b * N_g / (good_rhs * (N_g * N_b + d_b * (N_b - N_g)))
     else:
@@ -564,5 +568,62 @@ def gaussian_separate_sweep(problem: GaussianProblem, count: int = 400):
         with np.errstate(divide="ignore", invalid="ignore"):
             sol2 = (N_g / good_rhs - d_b) * N_b * N_g / (d_b * (N_g - N_b))
         d_g = np.maximum(sol1, np.where(np.isfinite(sol2), sol2, sol1))
-    # rounding can leave d_g above N_g, which is always achievable
-    return {"d_b": d_b, "d_g": np.minimum(d_g, N_g), "nu": nu}
+    # rounding can leave d_g above N_g, which is always achievable; + 0.0 makes -0 0
+    return {"d_b": d_b, "d_g": np.minimum(d_g, N_g) + 0.0, "nu": nu}
+
+
+def _curve_rows(c, d_c, d_r, envelope=False):
+    """(m, 2) receiver-order rows of role-order arrays (D_c, D_r), c the 0-based
+    receiver of D_c: the envelope vertices, or every sample sorted by (D1, D2)."""
+    D = np.empty((np.size(d_c), 2))
+    D[:, c], D[:, 1 - c] = d_c, d_r
+    if envelope:
+        return D[lower_envelope_indices(D[:, 0], D[:, 1])]
+    return D[np.lexsort((D[:, 1], D[:, 0]))]
+
+
+def _lds(problem, resolution, extend_flat):
+    assign = choose_refinement_receiver(problem)
+    top = problem.sideinfo_vars[assign.c]
+    if problem.kappa == 1:
+        dmin, dmax = gaussian_lds_dc_range(problem, assign)
+        d_c = np.linspace(dmin, top if extend_flat else dmax, resolution)
+        d_r = gaussian_lds_closed_form(problem, assign, d_c, extend_flat)
+        return TradeoffCurve(_curve_rows(assign.c, d_c, d_r), "lds")
+    for _ in range(2):
+        # the envelope ends at the first sample of minimal D_r (past the knee
+        # the curve is the constant floor), so the second pass spends every
+        # sample on D_c up to there
+        d_c = np.linspace(gaussian_cds(problem).D[assign.c], top, resolution)
+        d_r = gaussian_lds_curve(problem, assign, d_c)
+        top = d_c[np.argmin(d_r)]
+    return TradeoffCurve(_curve_rows(assign.c, d_c, d_r, envelope=True), "lds")
+
+
+def _scheme3(problem, resolution, extend_flat):
+    assign = choose_refinement_receiver(problem)
+    if problem.kappa == 1:
+        N_c, W_c = problem.sideinfo_vars[assign.c], problem.noise_vars[assign.c]
+        d_c = np.linspace(N_c * W_c / (problem.power + W_c), N_c, resolution)
+        d_r = gaussian_scheme3_closed_form(problem, assign, d_c)
+    else:
+        d_c, d_r = gaussian_scheme3_curve(problem, assign, resolution)
+    return TradeoffCurve(_curve_rows(assign.c, d_c, d_r), "scheme3")
+
+
+def _separate(problem, resolution, extend_flat):
+    sweep = gaussian_separate_sweep(problem, resolution)
+    b, _ = separate_coding_labels(problem)
+    return TradeoffCurve(_curve_rows(b, sweep["d_b"], sweep["d_g"]), "separate")
+
+
+# compare's Gaussian schemes, in the order of its usage error's list:
+# name -> (problem, resolution, extend_flat) -> TradeoffCurve
+SCHEMES = {
+    "converse": lambda problem, *_: TradeoffCurve(gaussian_trivial_converse(problem), "converse"),
+    "uncoded": lambda problem, *_: TradeoffCurve(gaussian_uncoded(problem).D, "uncoded"),
+    "cds": lambda problem, *_: TradeoffCurve(gaussian_cds(problem).D, "cds"),
+    "lds": _lds,
+    "separate": _separate,
+    "scheme3": _scheme3,
+}

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .core import DistortionPoint, TradeoffCurve
+from .core import TradeoffCurve
 
 
 def _staircase(x, y):
@@ -96,26 +96,12 @@ def lower_envelope_indices(x, y):
 
 
 def lower_convex_envelope(points) -> TradeoffCurve:
-    """Lower convex envelope of a set of (D1, D2) points.
+    """Lower convex envelope of an array-like of (D1, D2) pairs.
 
-    Accepts a sequence of DistortionPoint or an array-like of (x, y) pairs;
-    returns a TradeoffCurve whose points are the selected input points
-    (synthesized with scheme "envelope" for raw coordinate input), sorted by
-    D1 and strictly decreasing in D2.
+    Returns a TradeoffCurve (scheme "envelope") whose rows are the selected
+    input rows, sorted by D1 and strictly decreasing in D2.
     """
-    pts = list(points)
-    if not pts:
-        raise ValueError("envelope of an empty point set")
-    if isinstance(pts[0], DistortionPoint):
-        x = np.array([p.D[0] for p in pts])
-        y = np.array([p.D[1] for p in pts])
-        keep = lower_envelope_indices(x, y)
-        return TradeoffCurve(points=tuple(pts[i] for i in keep))
-    arr = np.asarray(pts, dtype=float)
+    arr = np.asarray(points, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected (n, 2) coordinates, got shape {arr.shape}")
-    keep = lower_envelope_indices(arr[:, 0], arr[:, 1])
-    made = tuple(
-        DistortionPoint(D=(arr[i, 0], arr[i, 1]), scheme="envelope", params={}) for i in keep
-    )
-    return TradeoffCurve(points=made)
+    return TradeoffCurve(arr[lower_envelope_indices(arr[:, 0], arr[:, 1])], "envelope")

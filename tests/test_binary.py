@@ -472,23 +472,31 @@ def test_refinement_search_admits_q_r_below_q_c_by_half_the_slack():
 
 @pytest.mark.parametrize("kappa", [1, "1/2"])
 def test_lds_vertices_carry_feasible_witnesses(kappa):
+    # every row of each role assignment's vertices and of the merged region
+    # re-derives its D from its own columns
+    region_assigns = set()
     for crossovers, sideinfo in LDS_PROBLEM_SET:
         problem = BinaryProblem(crossovers, sideinfo, kappa=kappa)
-        for assign in ASSIGNS:
-            beta_c = sideinfo[assign.c]
-            beta_r = sideinfo[assign.r]
-            for v in _binary_lds_vertices(problem, assign, 15):
-                p = v.params
-                assert p["assign"] == (assign.common_receiver, assign.refinement_receiver)
+        curve = binary_lds_region(problem, 15)
+        region_assigns.update(map(tuple, curve.params["assign"].tolist()))
+        tables = [_binary_lds_vertices(problem, a, 15) for a in ASSIGNS]
+        for rows, params in tables + [(curve.D, curve.params)]:
+            assert all(column.shape[0] == rows.shape[0] for column in params.values())
+            for i, D in enumerate(rows.tolist()):
+                p = {k: v[i] for k, v in params.items()}
+                assign = RoleAssignment(*p["assign"].tolist())
+                beta_c = sideinfo[assign.c]
+                beta_r = sideinfo[assign.r]
                 src = BinarySourceParams(p["q_c"], p["q_r"], p["alpha_c"], p["alpha_r"])
-                D = [None, None]
-                D[assign.c] = float(layer_distortion(src.q_c, src.alpha_c, beta_c))
-                D[assign.r] = float(layer_distortion(src.q_r, src.alpha_r, beta_r))
-                assert tuple(D) == v.D
-                if "t" not in p:  # the zero-rate corner needs no channel rate
-                    assert v.D == sideinfo
+                d = [None, None]
+                d[assign.c] = float(layer_distortion(src.q_c, src.alpha_c, beta_c))
+                d[assign.r] = float(layer_distortion(src.q_r, src.alpha_r, beta_r))
+                assert d == D
+                if p["t"] == "":  # the zero-rate corner needs no channel rate
+                    assert D == list(sideinfo)
+                    assert np.isnan(p["gamma_c"]) and np.isnan(p["gamma_r"])
                     continue
-                ch = BinaryChannelParams(p["gamma_c"], p["gamma_r"], TChoice(p["t"]))
+                ch = BinaryChannelParams(p["gamma_c"], p["gamma_r"], TChoice(str(p["t"])))
                 channel = binary_lds_channel_rates(
                     crossovers[assign.c], crossovers[assign.r], ch, kappa
                 )
@@ -496,6 +504,22 @@ def test_lds_vertices_carry_feasible_witnesses(kappa):
                 source = binary_lds_source_rates(src, beta_c, beta_r)
                 for need, have in zip(source.as_tuple(), channel.as_tuple()):
                     assert need <= have + FEAS_TOL
+    # the merged rows came from both role assignments
+    assert region_assigns == {(1, 2), (2, 1)}
+
+
+@pytest.mark.parametrize("kappa", [1, "1/2"])
+def test_cds_region_carries_feasible_witnesses(kappa):
+    # each row's (q, alpha) gives its D exactly and fits every receiver's channel
+    problems = [(PROBLEM.crossovers, PROBLEM.sideinfo_crossovers)] + LDS_PROBLEM_SET
+    for crossovers, sideinfo in problems:
+        curve = binary_cds_region(BinaryProblem(crossovers, sideinfo, kappa=kappa), 15)
+        q, alpha = curve.params["q"], curve.params["alpha"]
+        assert q.shape == alpha.shape == curve.d1().shape
+        for k, (p, beta) in enumerate(zip(crossovers, sideinfo)):
+            assert layer_distortion(q, alpha, beta).tolist() == curve.D[:, k].tolist()
+            cap = float(parse_kappa(kappa)) * (1.0 - binary_entropy(p))
+            assert np.all(q * wz_rate_kernel(alpha, beta) <= cap + 1e-12)
 
 
 def test_lds_pinned_subgrid_equals_cds_points():
@@ -508,8 +532,16 @@ def test_lds_pinned_subgrid_equals_cds_points():
 
 
 def test_lds_region_zero_rate_corner_present():
-    vertices = _binary_lds_vertices(PROBLEM, RoleAssignment(1, 2), 11)
-    assert any(v.D == PROBLEM.sideinfo_crossovers for v in vertices)
+    D, params = _binary_lds_vertices(PROBLEM, RoleAssignment(1, 2), 11)
+    assert D[0].tolist() == list(PROBLEM.sideinfo_crossovers) and params["t"][0] == ""
+    # at zero capacity only the zero-rate corner is feasible: the region is
+    # that corner alone, the first row of the first role assignment
+    curve = binary_lds_region(BinaryProblem((0.5, 0.5), PROBLEM.sideinfo_crossovers), 11)
+    assert curve.D.tolist() == [list(PROBLEM.sideinfo_crossovers)]
+    p = curve.params
+    assert p["assign"].tolist() == [[1, 2]] and p["t"].tolist() == [""]
+    assert np.isnan(p["gamma_c"]).all() and np.isnan(p["gamma_r"]).all()
+    assert [p[k].tolist() for k in ("q_c", "alpha_c", "q_r", "alpha_r")] == [[0.0]] * 4
 
 
 def test_lds_region_contains_cds_region():

@@ -11,7 +11,7 @@ import pytest
 from wzbc import binary as bn
 from wzbc import gaussian as gs
 from wzbc.cli import _write_csv, main
-from wzbc.core import BoundsViolation, GaussianProblem, load_problem
+from wzbc.core import BoundsViolation, GaussianProblem, TradeoffCurve, load_problem
 from wzbc.gaussian import (
     choose_refinement_receiver,
     gaussian_cds,
@@ -393,7 +393,7 @@ GAUSSIAN_SCHEMES = ("converse", "uncoded", "cds", "lds", "separate", "scheme3")
         pytest.param(
             {"P": 0.5, "W": [0.5, 1e-300], "N": [1e-300, 1e-8], "kappa": "2"},
             {"converse": "", "uncoded": "bandwidth match", "cds": "", "lds": "", "scheme3": ""},
-            True,
+            False,
             id="overflow",
         ),
     ],
@@ -422,6 +422,35 @@ def test_compare_skips_a_scheme_whose_rows_leave_the_bounds_or_overflow(
     for name in written:
         for row in read_rows(out / name):
             assert all(0.0 <= d <= cap + 1e-12 for d, cap in zip(row, caps)), (name, row)
+        rows = (out / name).read_text(encoding="utf-8").splitlines()[2:]
+        assert not [row for row in rows if row.startswith("-") or ",-" in row], name
+
+
+# entries whose rows are lower convex envelope vertices
+ENVELOPE_SCHEMES = {"gaussian": {"lds"}, "binary": {"cds", "lds", "separate"}}
+
+
+@pytest.mark.parametrize("kappa", ["1", "1/2"])
+@pytest.mark.parametrize("kind, table", [("gaussian", gs.SCHEMES), ("binary", bn.SCHEMES)])
+def test_compare_writes_every_scheme_table_entry_bit_for_bit(tmp_path, kind, table, kappa):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(dict(GAUSSIAN if kind == "gaussian" else BINARY, kappa=kappa)))
+    out = tmp_path / "out"
+    assert main(["compare", "--problem", str(path), "--schemes", ",".join(table),
+                 "--resolution", "15", "--out", str(out)]) == 0
+    problem = load_problem(path)
+    for name, entry in table.items():
+        if name == "uncoded" and kappa != "1":
+            with pytest.raises(ValueError, match="bandwidth match"):
+                entry(problem, 15, False)
+            assert not (out / "uncoded.csv").exists()
+            continue
+        curve = entry(problem, 15, False)
+        assert curve.scheme == name
+        written = [[x.hex() for x in row] for row in read_rows(out / f"{name}.csv")]
+        assert written == [[x.hex() for x in row] for row in curve.D.tolist()], name
+        if name in ENVELOPE_SCHEMES[kind]:
+            assert np.all(np.diff(curve.d1()) > 0) and np.all(np.diff(curve.d2()) < 0), name
 
 
 def test_compare_exits_2_when_every_scheme_is_skipped(tmp_path, capsys):
@@ -942,7 +971,7 @@ def test_csv_rows_print_float_of_every_value(tmp_path):
     # np.float64, Fraction, int and 0-d array values print as format(float(x), ".17g")
     rows = [(np.float64(1 / 3), Fraction(2, 3)), (1, np.array(0.1)), (0.0, 1e-300)]
     path = tmp_path / "x.csv"
-    _write_csv(path, "lds", "m", rows)
+    _write_csv(path, "lds", "m", TradeoffCurve(rows, "lds").D)
     expected = "# scheme=lds, params=m\n# columns=D1,D2\n" + "".join(
         f"{format(float(a), '.17g')},{format(float(b), '.17g')}\n" for a, b in rows
     )

@@ -226,3 +226,20 @@ def test_library_code_has_no_assert():
         tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], f"{module.name}: assert at lines {lines}"
+
+
+def test_family_modules_import_only_core_infotheory_and_optimize():
+    # each family's scheme table loads without the other family, the CLI,
+    # dmc or mcsim
+    package = pathlib.Path(wzbc.__file__).parent
+    for family in ("gaussian", "binary"):
+        tree = ast.parse((package / f"{family}.py").read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("wzbc")):
+                module = (node.module or "").removeprefix("wzbc").lstrip(".")
+                imported.update([module.split(".")[0]] if module else [a.name for a in node.names])
+            elif isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[1] for a in node.names
+                                if a.name.startswith("wzbc."))
+        assert imported and imported <= {"core", "infotheory", "optimize"}, (family, imported)

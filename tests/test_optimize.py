@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wzbc.core import DistortionPoint, GaussianProblem
+from wzbc.core import GaussianProblem
 from wzbc.gaussian import (
     GaussianLdsParams,
     choose_refinement_receiver,
@@ -49,16 +49,6 @@ def test_envelope_rejects_empty_and_nonfinite():
         lower_convex_envelope([])
     with pytest.raises(ValueError):
         lower_convex_envelope([(0.0, np.inf)])
-
-
-def test_envelope_preserves_distortion_points():
-    pts = [
-        DistortionPoint(D=(0.0, 1.0), scheme="a", params={"i": 0}),
-        DistortionPoint(D=(1.0, 0.0), scheme="b", params={"i": 1}),
-        DistortionPoint(D=(0.5, 0.9), scheme="c", params={"i": 2}),
-    ]
-    curve = lower_convex_envelope(pts)
-    assert [p.scheme for p in curve.points] == ["a", "b"]
 
 
 point_sets = st.lists(
